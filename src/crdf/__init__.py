@@ -6,7 +6,6 @@ rate-distortion curve, an independent brute-force oracle, and a Monte-Carlo
 causal-coding simulator.
 """
 from .probability import (
-    Alphabet,
     CausalKernelChain,
     FinitePmf,
     GeneralKernel,

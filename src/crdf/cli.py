@@ -14,18 +14,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import serialization as ser
 from .coding import simulate
 from .distortion import d_max_min_sequence, d_max_product
 from .information import check_causality_equivalence
 from .oracle import brute_force_lagrangian, compare
-from .probability import CausalKernelChain, GeneralKernel
+from .probability import CausalKernelChain
 from .serialization import ConfigError
 from .solver import (
     SolverOptions,
-    classical_ba,
     default_s_grid,
     properties_report,
     solve_fixed_s,
@@ -34,6 +31,7 @@ from .solver import (
 
 CONFIG_SCHEMA = "crdf-config-v1"
 COMMANDS = ("solve", "sweep", "properties", "oracle", "simulate", "dmax", "info")
+SOLVER_KEYS = ("s", "s_grid", "tol", "max_iters", "mode")
 
 
 def _load_config(path: str) -> dict:
@@ -53,12 +51,8 @@ def _load_config(path: str) -> dict:
 def _solver_options(cfg: dict) -> SolverOptions:
     sol = cfg.get("solver", {})
     try:
-        return SolverOptions(
-            tol=float(sol.get("tol", 1e-9)),
-            max_iters=int(sol.get("max_iters", 20000)),
-            init=sol.get("init", "uniform"),
-            seed=cfg.get("seed"),
-            tie_stationary=bool(sol.get("tie_stationary", False)))
+        return SolverOptions(tol=float(sol.get("tol", 1e-9)),
+                             max_iters=int(sol.get("max_iters", 20000)))
     except ValueError as exc:
         raise ConfigError("solver", str(exc)) from exc
 
@@ -119,6 +113,9 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
 
 def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     """Dispatch one command; returns the process exit status."""
+    for key in cfg.get("solver", {}):
+        if key not in SOLVER_KEYS:
+            raise ConfigError(f"solver.{key}", "unknown key")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(cfg.get("seed", 0))
 
@@ -129,22 +126,18 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         _write_json(out_dir, "point.json", ser.point_to_dict(point))
         return 0
 
-    if command == "sweep":
+    if command in ("sweep", "properties"):
         source, dist, ny = _problem(cfg)
         mode = cfg.get("solver", {}).get("mode", "warm")
         curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg),
                       ny=ny, mode=mode, threads=threads)
-        (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
-        kernels = {"schema": ser.SCHEMA,
-                   "d_max": curve.d_max_reported,
-                   "points": [ser.point_to_dict(p) for p in curve.points]}
-        _write_json(out_dir, "kernels.json", kernels)
-        return 0
-
-    if command == "properties":
-        source, dist, ny = _problem(cfg)
-        curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg),
-                      ny=ny, threads=threads)
+        if command == "sweep":
+            (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
+            kernels = {"schema": ser.SCHEMA,
+                       "d_max": curve.d_max_reported,
+                       "points": [ser.point_to_dict(p) for p in curve.points]}
+            _write_json(out_dir, "kernels.json", kernels)
+            return 0
         report = properties_report(curve, source, dist)
         _write_json(out_dir, "properties.json",
                     {"schema": ser.SCHEMA, **asdict(report),

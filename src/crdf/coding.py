@@ -26,7 +26,6 @@ from .distortion import DistortionModel, average_distortion
 from .information import directed_information_of_joint
 from .probability import (
     CausalKernelChain,
-    JointMeasure,
     OutputProcess,
     ShapeError,
     SourceModel,
@@ -267,12 +266,12 @@ def _chain_output(source: SourceModel, chain: CausalKernelChain) -> OutputProces
 
 
 def _trial_distortion_table(dist: DistortionModel, x: np.ndarray,
-                            words: np.ndarray, ny: int) -> np.ndarray:
+                            words: np.ndarray, nx: int,
+                            ny: int) -> np.ndarray:
     """Average distortion of every trial row against every codeword."""
     if dist.is_single_letter:
         return dist.letter_costs[x[:, None, :], words[None, :, :]].mean(axis=2)
     n = dist.horizon
-    nx = int(x.max(initial=0)) + 1  # letters bound the alphabet from below
     cost = dist.total_cost_matrix(nx, ny) / (n + 1)
     xi = ix.from_letters(x, nx)
     wi = ix.from_letters(words, ny)
@@ -303,7 +302,8 @@ def simulate(source: SourceModel, dist: DistortionModel,
         xs[t] = source.sample(1, rng)[0]
         ys[t] = _sample_y_given_x(chain, xs[t], rng)
 
-    table = _trial_distortion_table(dist, xs, book.codewords, chain.ny)
+    table = _trial_distortion_table(dist, xs, book.codewords, source.alphabet,
+                                    chain.ny)
     per_trial = table.min(axis=1)
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -80,10 +80,12 @@ class DistortionModel:
     def is_single_letter(self) -> bool:
         return self.kind == "single_letter"
 
-    def max_value(self) -> float:
+    @property
+    def ny(self) -> int:
+        """Output alphabet size implied by the costs (last axis of stage 0)."""
         if self.is_single_letter:
-            return float(self.letter_costs.max()) * 1.0
-        return max(float(t.max()) for t in self.tables)
+            return self.letter_costs.shape[1]
+        return self.tables[0].shape[1]
 
     def stage_cost(self, i: int, nx: int, ny: int) -> np.ndarray:
         """rho_i as a matrix over (x^i, y^i) prefixes, shape (nx**(i+1), ny**(i+1))."""
@@ -135,9 +137,7 @@ def d_max_min_sequence(source: SourceModel, dist: DistortionModel,
     lexicographically smallest sequence.  Returns (value, sequence).
     """
     n = source.horizon
-    if ny is None:
-        ny = (dist.letter_costs.shape[1] if dist.is_single_letter
-              else int(round(dist.tables[0].shape[1])))
+    ny = dist.ny if ny is None else ny
     mu = source.joint_pmf()
     cost = dist.total_cost_matrix(source.alphabet, ny)
     per_seq = mu @ cost / (n + 1)

@@ -33,11 +33,6 @@ from .probability import (
 )
 
 LOG2E = math.log2(math.e)
-NATS_PER_BIT = math.log(2.0)
-
-
-def bits_to_nats(bits: float) -> float:
-    return bits * NATS_PER_BIT
 
 
 def relative_entropy(p: FinitePmf, q: FinitePmf) -> float:
@@ -71,7 +66,8 @@ def mutual_information(joint: JointMeasure) -> float:
     return _plogratio(P, P, prod)
 
 
-def _directed_information_from_joint(joint: JointMeasure) -> float:
+def directed_information_of_joint(joint: JointMeasure) -> float:
+    """I(X^n -> Y^n) = sum_i I(X^i; Y_i | Y^{i-1}) of a joint, in bits."""
     n, nx, ny = joint.horizon, joint.nx, joint.ny
     total = 0.0
     for i in range(n + 1):
@@ -99,11 +95,7 @@ def directed_information(source: SourceModel,
         joint = make_joint(source, kernel)
     else:
         joint = joint_from_general(source, kernel)
-    return _directed_information_from_joint(joint)
-
-
-def directed_information_of_joint(joint: JointMeasure) -> float:
-    return _directed_information_from_joint(joint)
+    return directed_information_of_joint(joint)
 
 
 def information_density(joint: JointMeasure, x_traj, y_traj) -> float:
@@ -191,7 +183,7 @@ def check_causality_equivalence(source: SourceModel, kernel: GeneralKernel,
     """
     joint = joint_from_general(source, kernel)
     mi = mutual_information(joint)
-    di = _directed_information_from_joint(joint)
+    di = directed_information_of_joint(joint)
     return InfoReport(
         mutual_information=mi,
         directed_information=di,

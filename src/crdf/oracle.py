@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import indexing as ix
 from .distortion import DistortionModel
 from .information import LOG2E
 from .probability import CausalKernelChain, SourceModel
-from .solver import RateDistortionPoint, _infer_ny
+from .solver import RateDistortionPoint
 
 
 class InstanceTooLarge(ValueError):
@@ -41,43 +42,6 @@ class OracleResult:
     horizon: int
     nx: int
     ny: int
-
-
-class _Evaluator:
-    """Fast Lagrangian evaluation for explicit stage kernels."""
-
-    def __init__(self, source: SourceModel, dist: DistortionModel, s: float,
-                 ny: int):
-        from . import indexing as ix
-        n, nx = source.horizon, source.alphabet
-        self.n, self.nx, self.ny, self.s = n, nx, ny, s
-        self.mu = source.joint_pmf()
-        self.C = dist.total_cost_matrix(nx, ny)
-        xs = ix.all_indices(nx, n + 1)
-        ys = ix.all_indices(ny, n + 1)
-        self.hy = [ix.prefix(ys, ny, n + 1, i) for i in range(n + 1)]
-        self.hx = [ix.prefix(xs, nx, n + 1, i + 1) for i in range(n + 1)]
-        self.ylet = [ix.letter_at(ys, ny, n + 1, i) for i in range(n + 1)]
-        self.evaluations = 0
-
-    def conditional_matrix(self, stages) -> np.ndarray:
-        K = np.ones((self.nx ** (self.n + 1), self.ny ** (self.n + 1)))
-        for i in range(self.n + 1):
-            K = K * stages[i][self.hy[i][None, :], self.hx[i][:, None],
-                              self.ylet[i][None, :]]
-        return K
-
-    def lagrangian(self, stages) -> float:
-        """L = MI/(n+1) - s*log2(e)*D; MI equals DI for causal chains."""
-        self.evaluations += 1
-        K = self.conditional_matrix(stages)
-        J = self.mu[:, None] * K
-        py = J.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = J * np.log2(K / np.maximum(py, 1e-300)[None, :])
-        mi = float(np.where(J > 0, terms, 0.0).sum())
-        d = float(np.sum(J * self.C)) / (self.n + 1)
-        return mi / (self.n + 1) - self.s * LOG2E * d
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -107,27 +71,31 @@ def _local_simplex_grid(center: np.ndarray, radius: float,
     return np.array(rows)
 
 
-def _grid_search(ev: _Evaluator, steps: int = 20) -> tuple:
+def _grid_search(ev: _BatchEvaluator, steps: int = 20) -> tuple:
     """Simplex-lattice search over stage-kernel rows (n <= 1).
 
     At n = 0 the product over rows is exhausted jointly; at n = 1 rows are
     exhausted cyclically (each row against the full lattice with the others
     held fixed) until a full pass leaves every row unchanged.  Either way one
-    refinement pass at step 1/200 around the incumbent follows.
+    refinement pass at step 1/200 around the incumbent follows.  Every
+    evaluation is a batch of one.
     """
+    def lagrangian(stages) -> float:
+        return float(ev.lagrangian([st[None] for st in stages])[0])
+
     grid = _simplex_grid(ev.ny, steps)
     if ev.n == 0:
         best_val, best_rows = math.inf, None
         for choice in itertools.product(range(len(grid)), repeat=ev.nx):
             rows = grid[list(choice)]
-            val = ev.lagrangian([rows[None, :, :]])
+            val = lagrangian([rows[None, :, :]])
             if val < best_val:
                 best_val, best_rows = val, rows.copy()
         best_stages = [best_rows[None, :, :]]
     else:
         best_stages = [np.full((ev.ny**i, ev.nx ** (i + 1), ev.ny), 1.0 / ev.ny)
                        for i in range(ev.n + 1)]
-        best_val = ev.lagrangian(best_stages)
+        best_val = lagrangian(best_stages)
         for _ in range(100):
             changed = False
             for i in range(ev.n + 1):
@@ -136,7 +104,7 @@ def _grid_search(ev: _Evaluator, steps: int = 20) -> tuple:
                         for cand in grid:
                             saved = best_stages[i][hy, hx].copy()
                             best_stages[i][hy, hx] = cand
-                            val = ev.lagrangian(best_stages)
+                            val = lagrangian(best_stages)
                             if val < best_val - 1e-15:
                                 best_val, changed = val, True
                             else:
@@ -152,7 +120,7 @@ def _grid_search(ev: _Evaluator, steps: int = 20) -> tuple:
                 for cand in local:
                     saved = best_stages[i][hy, hx].copy()
                     best_stages[i][hy, hx] = cand
-                    val = ev.lagrangian(best_stages)
+                    val = lagrangian(best_stages)
                     if val < best_val:
                         best_val = val
                     else:
@@ -161,26 +129,22 @@ def _grid_search(ev: _Evaluator, steps: int = 20) -> tuple:
 
 
 class _BatchEvaluator:
-    """Lagrangian evaluation for a batch of stage-kernel sets in lockstep."""
+    """Lagrangian evaluation for a batch of stage-kernel sets in lockstep.
+
+    Stage i of a batch of B kernel sets has shape (B, ny**i, nx**(i+1), ny).
+    """
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float,
                  ny: int):
-        from . import indexing as ix
         n, nx = source.horizon, source.alphabet
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
         self.mu = source.joint_pmf()
         self.C = dist.total_cost_matrix(nx, ny)
-        xs = ix.all_indices(nx, n + 1)
-        ys = ix.all_indices(ny, n + 1)
-        self.hy = [ix.prefix(ys, ny, n + 1, i) for i in range(n + 1)]
-        self.hx = [ix.prefix(xs, nx, n + 1, i + 1) for i in range(n + 1)]
-        self.ylet = [ix.letter_at(ys, ny, n + 1, i) for i in range(n + 1)]
         self.evaluations = 0
 
-    def gather(self, i: int, stage_b: np.ndarray) -> np.ndarray:
-        """Stage factor of the conditional matrix, per batch entry."""
-        return stage_b[:, self.hy[i][None, :], self.hx[i][:, None],
-                       self.ylet[i][None, :]]
+    def lagrangian(self, stages_b) -> np.ndarray:
+        """L of every batch entry of a list of batched stage kernels."""
+        return self.value(ix.stage_product(stages_b, self.nx, self.ny, self.n))
 
     def value(self, K: np.ndarray) -> np.ndarray:
         """L = MI/(n+1) - s*log2(e)*D for each (nx^.., ny^..) matrix in K."""
@@ -208,11 +172,9 @@ def _batched_descent(ev: _BatchEvaluator, stages_b, step0: float = 0.25,
     """
     B = stages_b[0].shape[0]
     pairs = [(a, b) for a in range(ev.ny) for b in range(ev.ny) if a != b]
-    G = [ev.gather(i, stages_b[i]) for i in range(ev.n + 1)]
-    K = G[0].copy()
-    for g in G[1:]:
-        K = K * g
-    best = ev.value(K)
+    maps = ix.stage_maps(ev.nx, ev.ny, ev.n)
+    G = list(ix.stage_factors(stages_b, ev.nx, ev.ny, ev.n))
+    best = ev.lagrangian(stages_b)
     step = step0
     while step >= min_step:
         for _ in range(max_sweeps):
@@ -222,11 +184,12 @@ def _batched_descent(ev: _BatchEvaluator, stages_b, step0: float = 0.25,
                 for j in range(ev.n + 1):
                     if j != i:
                         P = P * G[j]
+                hy_map, hx_map, y_map = maps[i]
                 for hy in range(stages_b[i].shape[1]):
-                    cols = np.nonzero(ev.hy[i] == hy)[0]
-                    ylets = ev.ylet[i][cols]
+                    cols = np.nonzero(hy_map[0] == hy)[0]
+                    ylets = y_map[0, cols]
                     for hx in range(stages_b[i].shape[2]):
-                        rows_x = np.nonzero(ev.hx[i] == hx)[0]
+                        rows_x = np.nonzero(hx_map[:, 0] == hx)[0]
                         for a, b in pairs:
                             row = stages_b[i][:, hy, hx]
                             delta = np.minimum(step, row[:, a])
@@ -265,12 +228,12 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    ny = _infer_ny(dist) if ny is None else ny
+    ny = dist.ny if ny is None else ny
     n, nx = source.horizon, source.alphabet
     if method == "grid":
         if n > 1 or nx > 3 or ny > 3:
             raise InstanceTooLarge("grid oracle supports n <= 1, alphabets <= 3")
-        ev = _Evaluator(source, dist, s, ny)
+        ev = _BatchEvaluator(source, dist, s, ny)
         best_val, best_stages = _grid_search(ev)
     elif method == "multistart":
         if n > 2:

@@ -15,7 +15,7 @@ horizons this package targets (n <= 8 for explicit tables).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,17 +34,6 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet; symbols are the indices 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,33 +72,6 @@ def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has negative entries")
     if np.max(np.abs(rows.sum(axis=-1) - 1.0)) > PMF_ATOL:
         raise ValueError(f"{what} rows do not sum to 1")
-
-
-@dataclass(frozen=True)
-class ConditionalKernel:
-    """Row-stochastic table: one pmf over the output alphabet per history.
-
-    ``rows`` has shape (num_histories, out_size); the history indexing is up
-    to the caller (this package always uses mixed-radix trajectory indices,
-    see :mod:`crdf.indexing`).
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = _frozen_array(self.rows)
-        if rows.ndim != 2:
-            raise ValueError("kernel rows must be a 2-D table")
-        _check_rows_stochastic(rows, "conditional kernel")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def num_histories(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def out_size(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -180,15 +142,8 @@ class CausalKernelChain:
     def conditional_matrix(self) -> np.ndarray:
         """Full conditional K[x^n, y^n] = prod_i q_i, shape (Nx, Ny)."""
         n = self.horizon
-        Nx, Ny = self.nx ** (n + 1), self.ny ** (n + 1)
-        xs, ys = ix.all_indices(self.nx, n + 1), ix.all_indices(self.ny, n + 1)
-        K = np.ones((Nx, Ny))
-        for i in range(n + 1):
-            hy = ix.prefix(ys, self.ny, n + 1, i)
-            hx = ix.prefix(xs, self.nx, n + 1, i + 1)
-            yi = ix.letter_at(ys, self.ny, n + 1, i)
-            K *= self.stage(i)[hy[None, :], hx[:, None], yi[None, :]]
-        return K
+        return ix.stage_product([self.stage(i) for i in range(n + 1)],
+                                self.nx, self.ny, n)
 
     def to_general(self) -> "GeneralKernel":
         return GeneralKernel(nx=self.nx, ny=self.ny, horizon=self.horizon,
@@ -313,21 +268,18 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class JointMeasure:
-    """Joint pmf over X^{0..n} x Y^{0..n} with provenance metadata."""
+    """Joint pmf over X^{0..n} x Y^{0..n}."""
 
     nx: int
     ny: int
     horizon: int
     pmf: np.ndarray
-    provenance: str = "convolution"
 
     def __post_init__(self):
         p = _frozen_array(self.pmf)
         want = (self.nx ** (self.horizon + 1), self.ny ** (self.horizon + 1))
         if p.shape != want:
             raise ShapeError(f"joint pmf shape {p.shape}, expected {want}")
-        if self.provenance not in ("convolution", "product"):
-            raise ValueError("provenance must be 'convolution' or 'product'")
         object.__setattr__(self, "pmf", p)
 
     def x_marginal(self) -> np.ndarray:
@@ -342,8 +294,8 @@ class OutputProcess:
     """Reproduction-process law nu(y^n) with chain-rule conditionals.
 
     ``conditionals[i]`` has shape (ny**i, ny) giving nu_i(y_i | y^{i-1});
-    rows whose conditioning prefix has no mass hold a uniform placeholder and
-    are flagged in ``unreachable[i]``.  A memoryless output (iid product of a
+    rows whose conditioning prefix has no mass hold a uniform placeholder.
+    A memoryless output (iid product of a
     single per-letter pmf) may be declared via ``letter`` with no explicit
     joint, for horizons too large to materialize.
     """
@@ -352,7 +304,6 @@ class OutputProcess:
     horizon: int
     joint: Optional[np.ndarray] = None
     conditionals: Optional[tuple] = None
-    unreachable: Optional[tuple] = None
     letter: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -365,10 +316,6 @@ class OutputProcess:
             object.__setattr__(self, "joint", j)
             conds = tuple(_frozen_array(c) for c in self.conditionals)
             object.__setattr__(self, "conditionals", conds)
-            if self.unreachable is not None:
-                object.__setattr__(
-                    self, "unreachable",
-                    tuple(_frozen_array(u, bool) for u in self.unreachable))
         else:
             w = FinitePmf(self.letter).weights
             if w.shape[0] != self.ny:
@@ -417,7 +364,7 @@ def make_joint(source: SourceModel, chain: CausalKernelChain) -> JointMeasure:
     mu = source.joint_pmf()
     K = chain.conditional_matrix()
     return JointMeasure(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
-                        pmf=mu[:, None] * K, provenance="convolution")
+                        pmf=mu[:, None] * K)
 
 
 def joint_from_general(source: SourceModel, kernel: GeneralKernel) -> JointMeasure:
@@ -426,32 +373,38 @@ def joint_from_general(source: SourceModel, kernel: GeneralKernel) -> JointMeasu
         raise ShapeError("source and kernel shapes differ")
     mu = source.joint_pmf()
     return JointMeasure(nx=kernel.nx, ny=kernel.ny, horizon=kernel.horizon,
-                        pmf=mu[:, None] * kernel.table,
-                        provenance="convolution")
+                        pmf=mu[:, None] * kernel.table)
+
+
+def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
+    """Conditionals nu_i(y_i | y^{i-1}) of a pmf nu over Y^{0..n}.
+
+    Row y^{i-1} of the i-th table is uniform where the prefix carries at
+    most UNREACHABLE_MASS.
+    """
+    # prefix masses m_k over length-k prefixes, k = 0..n+1
+    masses = [nu]
+    for k in range(n, -1, -1):
+        masses.append(masses[-1].reshape(ny**k, ny).sum(axis=1))
+    masses.reverse()  # masses[k] = mass of length-k prefixes
+    conditionals = []
+    for i in range(n + 1):
+        parent = masses[i]
+        child = masses[i + 1].reshape(ny**i, ny)
+        dead = parent <= UNREACHABLE_MASS
+        rows = child / np.where(dead, 1.0, parent)[:, None]
+        rows[dead] = 1.0 / ny
+        conditionals.append(rows)
+    return conditionals
 
 
 def output_marginal(joint: JointMeasure) -> OutputProcess:
     """Marginal nu(y^n) with chain-rule conditionals nu_i(y_i | y^{i-1})."""
     n, ny = joint.horizon, joint.ny
     nu = joint.y_marginal()
-    # prefix masses m_k over length-k prefixes, k = 0..n+1
-    masses = [nu]
-    for k in range(n, -1, -1):
-        masses.append(masses[-1].reshape(ny**k, ny).sum(axis=1))
-    masses.reverse()  # masses[k] = mass of length-k prefixes
-    conditionals, unreachable = [], []
-    for i in range(n + 1):
-        parent = masses[i]
-        child = masses[i + 1].reshape(ny**i, ny)
-        dead = parent <= UNREACHABLE_MASS
-        safe = np.where(dead, 1.0, parent)
-        rows = child / safe[:, None]
-        rows[dead] = 1.0 / ny
-        conditionals.append(rows)
-        unreachable.append(dead)
+    conditionals = _chain_rule_conditionals(nu, ny, n)
     return OutputProcess(ny=ny, horizon=n, joint=nu,
-                         conditionals=tuple(conditionals),
-                         unreachable=tuple(unreachable))
+                         conditionals=tuple(conditionals))
 
 
 def product_measure(source: SourceModel, output: OutputProcess) -> JointMeasure:
@@ -461,8 +414,7 @@ def product_measure(source: SourceModel, output: OutputProcess) -> JointMeasure:
     mu = source.joint_pmf()
     nu = output.joint_pmf()
     return JointMeasure(nx=source.alphabet, ny=output.ny,
-                        horizon=source.horizon, pmf=np.outer(mu, nu),
-                        provenance="product")
+                        horizon=source.horizon, pmf=np.outer(mu, nu))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,6 @@ def random_chain(rng: np.random.Generator, nx: int, ny: int,
     return CausalKernelChain.from_stages(stages, nx, ny)
 
 
-def random_general_kernel(rng: np.random.Generator, nx: int, ny: int,
-                          horizon: int) -> GeneralKernel:
-    table = rng.dirichlet(np.ones(ny ** (horizon + 1)),
-                          size=nx ** (horizon + 1))
-    return GeneralKernel(nx=nx, ny=ny, horizon=horizon, table=table)
-
-
 def random_iid_source(rng: np.random.Generator, nx: int, horizon: int,
                       floor: float = 0.02) -> SourceModel:
     return SourceModel.iid(random_pmf(rng, nx, floor=floor), horizon)

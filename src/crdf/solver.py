@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,13 +42,12 @@ from .information import (
 )
 from .probability import (
     CausalKernelChain,
-    FinitePmf,
     GeneralKernel,
     JointMeasure,
     OutputProcess,
     ShapeError,
     SourceModel,
-    make_joint,
+    _chain_rule_conditionals,
     output_marginal,
 )
 
@@ -63,17 +62,12 @@ class SolverOptions:
 
     tol: float = 1e-9
     max_iters: int = 20000
-    init: str = "uniform"          # "uniform" | "random"
-    seed: Optional[int] = None
-    tie_stationary: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.init not in ("uniform", "random"):
-            raise ValueError("init must be 'uniform' or 'random'")
 
 
 @dataclass(frozen=True)
@@ -107,14 +101,13 @@ class RDCurve:
         return [p for p in self.points if p.converged]
 
 
-def _infer_ny(dist: DistortionModel) -> int:
-    if dist.is_single_letter:
-        return dist.letter_costs.shape[1]
-    return dist.tables[0].shape[1]
+def _max_step(a, b) -> float:
+    """Largest entrywise difference between two lists of stage kernels."""
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
 
 
 class _Workspace:
-    """Cached index maps and tilt tables for one (source, dist, s) problem."""
+    """Source prefix laws and tilt tables for one (source, dist, s) problem."""
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float,
                  ny: int):
@@ -124,17 +117,16 @@ class _Workspace:
         nx = source.alphabet
         self.n, self.nx, self.ny = n, nx, ny
         self.mu = source.joint_pmf()
-        xs = ix.all_indices(nx, n + 1)
-        ys = ix.all_indices(ny, n + 1)
-        self.hy = [ix.prefix(ys, ny, n + 1, i) for i in range(n + 1)]
-        self.hx = [ix.prefix(xs, nx, n + 1, i + 1) for i in range(n + 1)]
-        self.ylet = [ix.letter_at(ys, ny, n + 1, i) for i in range(n + 1)]
-        # tilt tables exp(s*rho_i) laid out as (y^{i-1}, x^i, y_i)
-        self.exp_cost = []
+        # tilt tables exp(s*(rho_i - min_{y_i} rho_i)) laid out as
+        # (y^{i-1}, x^i, y_i); the shift keeps exp from underflowing to 0 and
+        # s*min goes back into V_i, where it is the factor dropped from Z_i
+        self.exp_cost, self.cost_shift = [], []
         for i in range(n + 1):
             rho = dist.stage_cost(i, nx, ny)          # (nx^(i+1), ny^(i+1))
             rho = rho.reshape(nx ** (i + 1), ny**i, ny).transpose(1, 0, 2)
-            self.exp_cost.append(np.exp(s * rho))
+            low = rho.min(axis=2)
+            self.exp_cost.append(np.exp(s * (rho - low[:, :, None])))
+            self.cost_shift.append(s * low)
         # source prefix marginals mu(x^i) and transitions mu(x_{i+1} | x^i)
         prefix = [self.mu.reshape(nx ** (i + 1), -1).sum(axis=1)
                   for i in range(n + 1)]
@@ -146,24 +138,14 @@ class _Workspace:
             safe = np.where(parent > 0, parent, 1.0)
             self.mu_next.append(child / safe[:, None])
 
-    def uniform_conditionals(self):
-        return [np.full((self.ny**i, self.ny), 1.0 / self.ny)
-                for i in range(self.n + 1)]
-
-    def random_conditionals(self, rng: np.random.Generator):
-        conds = []
-        for i in range(self.n + 1):
-            rows = rng.random((self.ny**i, self.ny)) + 0.1
-            conds.append(rows / rows.sum(axis=1, keepdims=True))
-        return conds
-
     def tilt(self, nu_conds):
         """Optimal causal kernel for fixed output conditionals.
 
         Runs the backward recursion from stage n to 0 and returns the stage
-        kernels together with V_0 = -log Z_0, shape (1, nx).  G_i is shifted
-        by its minimum over y_i, which cancels in the normalization and is
-        added back into V_i, so the tilt weights never exceed exp(s*rho_i).
+        kernels together with V_0 = -log Z_0, shape (1, nx).  rho_i and G_i
+        are shifted by their minimum over y_i, which cancels in the
+        normalization and is added back into V_i, so neither exponential
+        exceeds 1 and each equals 1 somewhere in every row.
         """
         nx, ny = self.nx, self.ny
         stages = [None] * (self.n + 1)
@@ -176,37 +158,12 @@ class _Workspace:
                 w = w * np.exp(shift[:, :, None] - G)
             Z = w.sum(axis=2)                                 # (y^{i-1}, x^i)
             stages[i] = w / Z[:, :, None]
-            V = shift - np.log(Z)
+            V = shift - np.log(Z) - self.cost_shift[i]
             if i > 0:
                 # G_{i-1}(x^{i-1}, y^{i-1}) = sum_{x_i} mu(x_i|x^{i-1}) V_i
                 V = V.reshape(ny ** (i - 1), ny, nx**i, nx)
                 G = (V * self.mu_next[i - 1]).sum(axis=3).transpose(0, 2, 1)
         return stages, V
-
-    def joint(self, stages) -> np.ndarray:
-        K = np.ones((self.nx ** (self.n + 1), self.ny ** (self.n + 1)))
-        for i in range(self.n + 1):
-            K *= stages[i][self.hy[i][None, :], self.hx[i][:, None],
-                           self.ylet[i][None, :]]
-        return self.mu[:, None] * K
-
-    def conditionals(self, pmf: np.ndarray):
-        """Chain-rule output conditionals (uniform rows on dead histories)."""
-        ny, n = self.ny, self.n
-        nu = pmf.sum(axis=0)
-        masses = [nu]
-        for k in range(n, -1, -1):
-            masses.append(masses[-1].reshape(ny**k, ny).sum(axis=1))
-        masses.reverse()
-        conds = []
-        for i in range(n + 1):
-            parent = masses[i]
-            child = masses[i + 1].reshape(ny**i, ny)
-            dead = parent <= 1e-15
-            rows = child / np.where(dead, 1.0, parent)[:, None]
-            rows[dead] = 1.0 / ny
-            conds.append(rows)
-        return conds
 
 
 def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
@@ -221,93 +178,40 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    if opts.tie_stationary:
-        return _solve_tied(source, dist, s, opts, ny)
-    ny = _infer_ny(dist) if ny is None else ny
+    ny = dist.ny if ny is None else ny
     ws = _Workspace(source, dist, s, ny)
+    n, nx = ws.n, ws.nx
+    nu = [np.full((ny**i, ny), 1.0 / ny) for i in range(n + 1)]
     if warm_start is not None:
         # a multiplicative update never revives a zero mass and revives a
         # vanishing one too slowly to notice, so the warm conditionals are
         # mixed with the uniform law to give full support
         nu = [(1.0 - WARM_MIX) * np.asarray(c, dtype=float) + WARM_MIX * u
-              for c, u in zip(warm_start, ws.uniform_conditionals())]
-    elif opts.init == "random":
-        nu = ws.random_conditionals(np.random.default_rng(opts.seed))
-    else:
-        nu = ws.uniform_conditionals()
+              for c, u in zip(warm_start, nu)]
 
     q_prev = None
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
         q, _ = ws.tilt(nu)
-        if q_prev is not None:
-            delta = max(float(np.max(np.abs(a - b)))
-                        for a, b in zip(q, q_prev))
-            if delta < opts.tol:
-                converged = True
-                break
-        pmf = ws.joint(q)
-        nu = ws.conditionals(pmf)
-        q_prev = q
-
-    pmf = ws.joint(q)
-    nu_final = ws.conditionals(pmf)
-    q_next, V0 = ws.tilt(nu_final)
-    residual = max(float(np.max(np.abs(a - b))) for a, b in zip(q_next, q))
-
-    chain = CausalKernelChain.from_stages(q, ws.nx, ws.ny)
-    joint = JointMeasure(nx=ws.nx, ny=ws.ny, horizon=ws.n, pmf=pmf)
-    output = output_marginal(joint)
-    d_norm = average_distortion(joint, dist)
-    rate = directed_information_of_joint(joint) / (ws.n + 1)
-    # the stage sum telescopes: -E[log2 Z_0] is the minimized Lagrangian
-    formula = s * LOG2E * d_norm + LOG2E * float(ws.mu0 @ V0[0]) / (ws.n + 1)
-    return RateDistortionPoint(
-        s=s, distortion=d_norm, rate=rate, rate_formula=formula,
-        iterations=iterations, converged=converged, residual=residual,
-        chain=chain, output=output)
-
-
-def _solve_tied(source: SourceModel, dist: DistortionModel, s: float,
-                opts: SolverOptions, ny: Optional[int]) -> RateDistortionPoint:
-    """Stationary-kernel variant: one per-letter channel shared by all stages.
-
-    The per-letter channel is the classical tilt fixed point against the
-    time-averaged source letter marginal.  The closed-form rate identity is
-    exact only for the untied solver; here rate and distortion are evaluated
-    exactly on the induced joint and rate_formula is reported from the same
-    per-letter expression for reference.
-    """
-    if not dist.is_single_letter:
-        raise ValueError("tie_stationary requires a single-letter distortion")
-    ny = _infer_ny(dist) if ny is None else ny
-    n, nx = source.horizon, source.alphabet
-    p_bar = np.mean([source.letter_marginal(i) for i in range(n + 1)], axis=0)
-    E = np.exp(s * dist.letter_costs)
-    nu = np.full(ny, 1.0 / ny)
-    W_prev = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        W = E * nu[None, :]
-        W /= W.sum(axis=1, keepdims=True)
-        if W_prev is not None and float(np.max(np.abs(W - W_prev))) < opts.tol:
+        if q_prev is not None and _max_step(q, q_prev) < opts.tol:
             converged = True
             break
-        nu = p_bar @ W
-        W_prev = W
-    residual_W = E * (p_bar @ W)[None, :]
-    residual_W /= residual_W.sum(axis=1, keepdims=True)
-    residual = float(np.max(np.abs(residual_W - W)))
+        pmf = ws.mu[:, None] * ix.stage_product(q, nx, ny, n)
+        nu = _chain_rule_conditionals(pmf.sum(axis=0), ny, n)
+        q_prev = q
 
-    chain = CausalKernelChain.memoryless(W, n)
-    joint = make_joint(source, chain)
+    joint = JointMeasure(nx=nx, ny=ny, horizon=n,
+                         pmf=ws.mu[:, None] * ix.stage_product(q, nx, ny, n))
     output = output_marginal(joint)
+    q_next, V0 = ws.tilt(output.conditionals)
+    residual = _max_step(q_next, q)
+
+    chain = CausalKernelChain.from_stages(q, nx, ny)
     d_norm = average_distortion(joint, dist)
     rate = directed_information_of_joint(joint) / (n + 1)
-    Z = (E * nu[None, :]).sum(axis=1)
-    formula = s * LOG2E * d_norm - float(p_bar @ np.log2(Z))
+    # the stage sum telescopes: -E[log2 Z_0] is the minimized Lagrangian
+    formula = s * LOG2E * d_norm + LOG2E * float(ws.mu0 @ V0[0]) / (n + 1)
     return RateDistortionPoint(
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
         iterations=iterations, converged=converged, residual=residual,
@@ -335,7 +239,7 @@ def sweep(source: SourceModel, dist: DistortionModel,
     if len(s_grid) == 0:
         raise ValueError("empty multiplier grid")
     grid = sorted(set(float(s) for s in s_grid), reverse=True)
-    ny_eff = _infer_ny(dist) if ny is None else ny
+    ny_eff = dist.ny if ny is None else ny
     points = []
     if mode == "warm":
         warm = None
@@ -370,11 +274,14 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    ny = _infer_ny(dist) if ny is None else ny
+    ny = dist.ny if ny is None else ny
     n, nx = source.horizon, source.alphabet
     mu = source.joint_pmf()
     C = dist.total_cost_matrix(nx, ny)
-    E = np.exp(s * C)
+    # rows shifted by their minimum so exp cannot underflow to 0; the factor
+    # exp(s*low) cancels in q and goes back into Z in the rate formula
+    low = C.min(axis=1)
+    E = np.exp(s * (C - low[:, None]))
     Ny = ny ** (n + 1)
     nu = np.full(Ny, 1.0 / Ny)
     q_prev = None
@@ -398,7 +305,8 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     d_norm = average_distortion(joint, dist)
     rate = mutual_information(joint) / (n + 1)
     Z = (E * nu_final[None, :]).sum(axis=1)
-    formula = s * LOG2E * d_norm - float(mu @ np.log2(Z)) / (n + 1)
+    log2_z = np.log2(Z) + s * LOG2E * low
+    formula = s * LOG2E * d_norm - float(mu @ log2_z) / (n + 1)
     return RateDistortionPoint(
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
         iterations=iterations, converged=converged, residual=residual,
@@ -411,15 +319,6 @@ def _conditional_matrix(kernel) -> np.ndarray:
     if isinstance(kernel, GeneralKernel):
         return kernel.table
     raise TypeError("expected a CausalKernelChain or GeneralKernel")
-
-
-def mutual_information_of_kernel(source: SourceModel, kernel) -> float:
-    """I(X^n; Y^n) of mu paired with an arbitrary kernel, in bits."""
-    K = _conditional_matrix(kernel)
-    mu = source.joint_pmf()
-    joint = JointMeasure(nx=source.alphabet, ny=int(round(K.shape[1] ** (1.0 / (source.horizon + 1)))),
-                         horizon=source.horizon, pmf=mu[:, None] * K)
-    return mutual_information(joint)
 
 
 def gateaux_derivative(source: SourceModel, q0, q1) -> float:

@@ -73,6 +73,12 @@ class TestSweepAndProperties:
         rep = json.loads((tmp_path / "properties.json").read_text())
         assert rep["passed"]
 
+    @pytest.mark.parametrize("command", ["sweep", "properties"])
+    def test_unknown_mode_rejected(self, tmp_path, command):
+        cfg = write_config(tmp_path, {"solver": {
+            "s_grid": [-2.0, -1.0, -0.5, 0.0], "mode": "bogus"}})
+        assert run(command, cfg, tmp_path) == 2
+
 
 class TestOracle:
     def test_grid_oracle_agrees(self, tmp_path):
@@ -173,6 +179,12 @@ class TestValidation:
             "solver": {"s": -1.0},
         })
         assert run("solve", cfg, tmp_path) == 2
+
+    @pytest.mark.parametrize("key", ["tie_stationary", "init", "sedd"])
+    def test_unknown_solver_key_names_the_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {"solver": {"s": -1.0, key: True}})
+        assert run("solve", cfg, tmp_path) == 2
+        assert f"solver.{key}" in capsys.readouterr().err
 
     def test_unknown_command_rejected_by_argparse(self, tmp_path):
         cfg = write_config(tmp_path, {"solver": {"s": -1.0}})

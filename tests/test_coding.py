@@ -209,3 +209,17 @@ class TestSimulate:
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
         rep = simulate(src, dist, chain, 1.0, n, 100, 0.5, 3)
         assert rep.mean_distortion >= 0.0
+
+    def test_table_distortion_spans_unsampled_letters(self):
+        # with p(1) = 0.001 five trials draw only the letter 0; the encoder's
+        # cost table must still cover the whole source alphabet
+        n = 1
+        src = SourceModel.iid(FinitePmf([0.999, 0.001]), n)
+        ham = DistortionModel.hamming(2, n)
+        tables = DistortionModel.from_tables(
+            [ham.stage_cost(i, 2, 2) for i in range(n + 1)], n)
+        chain = CausalKernelChain.memoryless(W_QUARTER, n)
+        by_table = simulate(src, tables, chain, 0.5, n, 5, 0.1, 0)
+        by_letter = simulate(src, ham, chain, 0.5, n, 5, 0.1, 0)
+        assert by_table.mean_distortion == pytest.approx(
+            by_letter.mean_distortion, abs=1e-12)

@@ -101,14 +101,6 @@ class TestSolveFixedS:
         assert not p.converged
         assert p.iterations == 3
 
-    def test_tied_stationary_matches_untied_for_iid(self):
-        src = SourceModel.iid(UNIFORM2, 2)
-        dist = DistortionModel.hamming(2, 2)
-        tied = solve_fixed_s(src, dist, -2.0, SolverOptions(tie_stationary=True))
-        untied = solve_fixed_s(src, dist, -2.0)
-        assert tied.distortion == pytest.approx(untied.distortion, abs=1e-8)
-        assert tied.rate == pytest.approx(untied.rate, abs=1e-8)
-
     def test_causality_of_solution(self):
         T = np.array([[0.7, 0.3], [0.4, 0.6]])
         src = SourceModel.markov(FinitePmf([0.5, 0.5]), T, 2)
@@ -208,6 +200,28 @@ class TestClassicalBA:
         b = classical_ba(src2, DistortionModel.hamming(2, 2), -2.0)
         assert b.distortion == pytest.approx(a.distortion, abs=1e-8)
         assert b.rate == pytest.approx(a.rate, abs=1e-8)
+
+
+class TestCostShift:
+    """Adding a constant to a cost row leaves the optimal kernel unchanged.
+
+    At s = -40 the unshifted exponent exp(s * 20) underflows to 0, which
+    used to give D = nan and R = 0 from both solvers.
+    """
+
+    SHIFTED = [[20.0, 25.0], [25.0, 20.0]]
+    BASE = [[0.0, 5.0], [5.0, 0.0]]
+
+    @pytest.mark.parametrize("solve", [solve_fixed_s, classical_ba])
+    def test_shifted_costs_give_the_same_kernel(self, solve):
+        src = SourceModel.iid(UNIFORM2, 0)
+        hi = solve(src, DistortionModel.single_letter(self.SHIFTED, 0), -40.0)
+        lo = solve(src, DistortionModel.single_letter(self.BASE, 0), -40.0)
+        assert hi.converged and lo.converged
+        assert hi.rate == lo.rate
+        assert hi.distortion == pytest.approx(lo.distortion + 20.0, abs=1e-12)
+        assert hi.rate_formula == pytest.approx(lo.rate_formula, abs=1e-9)
+        assert hi.rate == pytest.approx(hi.rate_formula, abs=1e-9)
 
 
 class TestGateaux:
