@@ -64,8 +64,7 @@ def _problem(cfg: dict):
     if source.horizon != dist.horizon:
         raise ConfigError("distortion.horizon",
                           "does not match source.horizon")
-    ny = cfg.get("output_alphabet")
-    return source, dist, (int(ny) if ny is not None else None)
+    return source, dist
 
 
 def _need(cfg: dict, key: str):
@@ -116,21 +115,24 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     for key in cfg.get("solver", {}):
         if key not in SOLVER_KEYS:
             raise ConfigError(f"solver.{key}", "unknown key")
+    if "output_alphabet" in cfg:
+        raise ConfigError("output_alphabet", "unknown key; the output "
+                          "alphabet is the distortion's")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(cfg.get("seed", 0))
 
     if command == "solve":
-        source, dist, ny = _problem(cfg)
+        source, dist = _problem(cfg)
         point = solve_fixed_s(source, dist, _s_value(cfg),
-                              _solver_options(cfg), ny=ny)
+                              _solver_options(cfg))
         _write_json(out_dir, "point.json", ser.point_to_dict(point))
         return 0
 
     if command in ("sweep", "properties"):
-        source, dist, ny = _problem(cfg)
+        source, dist = _problem(cfg)
         mode = cfg.get("solver", {}).get("mode", "warm")
         curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg),
-                      ny=ny, mode=mode, threads=threads)
+                      mode=mode, threads=threads)
         if command == "sweep":
             (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
             kernels = {"schema": ser.SCHEMA,
@@ -145,14 +147,13 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         return 0 if report.passed else 1
 
     if command == "oracle":
-        source, dist, ny = _problem(cfg)
+        source, dist = _problem(cfg)
         ocfg = cfg.get("oracle", {})
         s = _s_value(cfg)
-        opts = _solver_options(cfg)
-        point = solve_fixed_s(source, dist, s, opts, ny=ny)
+        point = solve_fixed_s(source, dist, s, _solver_options(cfg))
         result = brute_force_lagrangian(
             source, dist, s, method=ocfg.get("method", "grid"),
-            budget=int(ocfg.get("budget", 500)), seed=seed, ny=ny)
+            budget=int(ocfg.get("budget", 500)), seed=seed)
         report = compare(point, result, tol=float(ocfg.get("tol", 1e-3)))
         _write_json(out_dir, "oracle.json", {
             "schema": ser.SCHEMA, **asdict(report),
@@ -163,7 +164,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         return 0 if report.passed else 1
 
     if command == "simulate":
-        source, dist, ny = _problem(cfg)
+        source, dist = _problem(cfg)
         sim = cfg.get("sim", {})
         for field in ("rate", "trials", "epsilon"):
             if field not in sim:
@@ -174,7 +175,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
                 raise ConfigError("kernel", "simulate requires a causal chain")
         else:
             point = solve_fixed_s(source, dist, _s_value(cfg),
-                                  _solver_options(cfg), ny=ny)
+                                  _solver_options(cfg))
             chain = point.chain
         report = simulate(source, dist, chain, float(sim["rate"]),
                           source.horizon, int(sim["trials"]),
@@ -185,8 +186,8 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         return 0
 
     if command == "dmax":
-        source, dist, ny = _problem(cfg)
-        value, seq = d_max_min_sequence(source, dist, ny=ny)
+        source, dist = _problem(cfg)
+        value, seq = d_max_min_sequence(source, dist)
         payload = {"schema": ser.SCHEMA, "min_sequence": value,
                    "argmin_sequence": list(seq), "product": None}
         if "output" in cfg:
@@ -196,7 +197,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         return 0
 
     if command == "info":
-        source, dist, ny = _problem(cfg)
+        source, dist = _problem(cfg)
         kernel = _kernel_from_config(cfg)
         if isinstance(kernel, CausalKernelChain):
             kernel = kernel.to_general()

@@ -1,11 +1,13 @@
-"""Monte-Carlo realization of the causal source coding theorem.
+"""Random-codebook realization of the causal source coding theorem.
 
 Typical sets of the directed-information density and of the distortion,
 random codebooks drawn from the optimal output law, and a block-causal
-minimum-distortion encoder.  Exact typicality probabilities are computed by
-full enumeration when the pair space is small, by a multinomial count
-recursion for per-letter chains over iid sources (any horizon), and by Monte
-Carlo with reported standard errors otherwise.
+minimum-distortion encoder.  Typicality probabilities are probabilities of
+the joint law of (source, chain), never fractions of sampled blocks.  They
+are exact by full enumeration for stage chains, table distortions and small
+pair spaces, exact by a multinomial count recursion for per-letter chains
+over iid sources (any horizon), and Monte Carlo with reported standard
+errors otherwise.
 
 Membership conventions (single normalization, block length = n+1 symbols):
 
@@ -26,6 +28,7 @@ from .distortion import DistortionModel, average_distortion
 from .information import directed_information_of_joint
 from .probability import (
     CausalKernelChain,
+    JointMeasure,
     OutputProcess,
     ShapeError,
     SourceModel,
@@ -62,6 +65,8 @@ class TypicalitySpec:
         if not (self.source.horizon == self.chain.horizon
                 == self.dist.horizon == self.horizon):
             raise ShapeError("spec horizons disagree")
+        if self.source.alphabet != self.chain.nx:
+            raise ShapeError("source and chain X-alphabets differ")
 
 
 @dataclass(frozen=True)
@@ -71,11 +76,9 @@ class TypicalityResult:
     p_info: float
     p_dist: float
     method: str                      # "enumeration" | "multinomial" | "monte_carlo"
+    mean_dist: float                 # E[d], the centre of the D_eps window
     se_info: float = 0.0
     se_dist: float = 0.0
-
-    def __iter__(self):
-        return iter((self.p_info, self.p_dist))
 
 
 def _letter_cells(spec: TypicalitySpec):
@@ -120,16 +123,19 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
             p_info += w
         if abs(float(counts @ rhos) / m - dist_mean) < spec.epsilon:
             p_dist += w
-    return TypicalityResult(p_info=p_info, p_dist=p_dist, method="multinomial")
+    return TypicalityResult(p_info=p_info, p_dist=p_dist, method="multinomial",
+                            mean_dist=dist_mean)
 
 
 def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
-    joint = make_joint(spec.source, spec.chain)
+    chain = spec.chain
     m = spec.horizon + 1
+    K = chain.conditional_matrix()
+    joint = JointMeasure(nx=chain.nx, ny=chain.ny, horizon=spec.horizon,
+                         pmf=spec.source.joint_pmf()[:, None] * K)
     P = joint.pmf
-    K = spec.chain.conditional_matrix()
     nu = joint.y_marginal()
-    cost = spec.dist.total_cost_matrix(joint.nx, joint.ny) / m
+    cost = spec.dist.total_cost_matrix(chain.nx, chain.ny) / m
     i_norm = directed_information_of_joint(joint) / m
     d_norm = average_distortion(joint, spec.dist)
     sup = P > 0
@@ -139,17 +145,15 @@ def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
     in_d = sup & (np.abs(cost - d_norm) < spec.epsilon)
     return TypicalityResult(p_info=float(P[in_t].sum()),
                             p_dist=float(P[in_d].sum()),
-                            method="enumeration")
+                            method="enumeration", mean_dist=d_norm)
 
 
 def _forward_output_logprob(source: SourceModel, W: np.ndarray,
                             y: np.ndarray) -> np.ndarray:
-    """log2 nu(y^n) for per-letter chains via the forward recursion."""
+    """log2 nu(y^n) for a per-letter chain over a Markov source, by the
+    forward recursion."""
     num, m = y.shape
     out = np.zeros(num)
-    if source.kind == "iid":
-        nu1 = source.letter.weights @ W
-        return np.log2(nu1[y]).sum(axis=1)
     alpha = source.initial.weights[None, :] * W[:, y[:, 0]].T
     scale = alpha.sum(axis=1)
     out += np.log2(scale)
@@ -164,10 +168,9 @@ def _forward_output_logprob(source: SourceModel, W: np.ndarray,
 
 def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
                             seed: int) -> TypicalityResult:
-    if not (spec.chain.is_memoryless and spec.dist.is_single_letter
-            and spec.source.kind in ("iid", "markov")):
-        raise ValueError("Monte-Carlo typicality requires a per-letter chain, "
-                         "a single-letter distortion, and an iid or Markov source")
+    if spec.source.kind != "markov":
+        raise ValueError("too many pairs to enumerate; Monte-Carlo "
+                         "typicality requires a Markov source")
     rng = np.random.default_rng(seed)
     m = spec.horizon + 1
     W = spec.chain.letter_kernel
@@ -182,7 +185,7 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
     in_d = np.abs(d - d.mean()) < spec.epsilon
     return TypicalityResult(
         p_info=float(in_t.mean()), p_dist=float(in_d.mean()),
-        method="monte_carlo",
+        method="monte_carlo", mean_dist=float(d.mean()),
         se_info=float(in_t.std(ddof=1) / math.sqrt(samples)),
         se_dist=float(in_d.std(ddof=1) / math.sqrt(samples)))
 
@@ -192,15 +195,17 @@ def typicality_probability(spec: TypicalitySpec,
                            seed: int = 0) -> TypicalityResult:
     """P(T_eps) and P(D_eps) for the joint generated by the spec's chain.
 
-    Chooses, in order: the exact multinomial recursion (iid source,
-    per-letter chain, single-letter distortion), full enumeration when the
-    pair space has at most 10^7 atoms, and Monte Carlo otherwise.
+    A stage chain or a table distortion is enumerated: it already holds a
+    table with one entry per (x^n, y^n) pair.  A per-letter problem takes,
+    in order: the exact multinomial recursion (iid source), full enumeration
+    when the pair space has at most EXACT_PAIR_CAP atoms, and Monte Carlo
+    otherwise.
     """
-    n = spec.horizon
-    if (spec.chain.is_memoryless and spec.source.kind == "iid"
-            and spec.dist.is_single_letter):
+    if not (spec.chain.is_memoryless and spec.dist.is_single_letter):
+        return _enumeration_typicality(spec)
+    if spec.source.kind == "iid":
         return _multinomial_typicality(spec)
-    pairs = (spec.source.alphabet * spec.chain.ny) ** (n + 1)
+    pairs = (spec.source.alphabet * spec.chain.ny) ** (spec.horizon + 1)
     if pairs <= EXACT_PAIR_CAP:
         return _enumeration_typicality(spec)
     return _monte_carlo_typicality(spec, mc_samples, seed)
@@ -243,7 +248,12 @@ def generate_codebook(output: OutputProcess, rate: float, n: int,
 
 @dataclass(frozen=True)
 class SimReport:
-    """Empirical outcome of one causal-coding experiment."""
+    """Outcome of one causal-coding experiment.
+
+    The distortion fields are statistics of the encoded trials; the
+    typicality fields are P(T_eps) and P(D_eps) of the joint law of
+    (source, chain), which do not depend on ``trials``.
+    """
 
     trials: int
     mean_distortion: float
@@ -269,9 +279,13 @@ def _trial_distortion_table(dist: DistortionModel, x: np.ndarray,
                             words: np.ndarray, nx: int,
                             ny: int) -> np.ndarray:
     """Average distortion of every trial row against every codeword."""
-    if dist.is_single_letter:
-        return dist.letter_costs[x[:, None, :], words[None, :, :]].mean(axis=2)
     n = dist.horizon
+    if dist.is_single_letter:
+        # one (trials, codewords) slice per stage, never a 3-D gather
+        total = np.zeros((x.shape[0], words.shape[0]))
+        for i in range(n + 1):
+            total += dist.letter_costs[x[:, None, i], words[None, :, i]]
+        return total / (n + 1)
     cost = dist.total_cost_matrix(nx, ny) / (n + 1)
     xi = ix.from_letters(x, nx)
     wi = ix.from_letters(words, ny)
@@ -286,9 +300,11 @@ def simulate(source: SourceModel, dist: DistortionModel,
 
     Each trial samples a source block, encodes it to the codeword of minimum
     average distortion (ties to the lowest index), and records the achieved
-    distortion; a joint sample from (source, chain) per trial estimates the
-    typicality fractions.  Per-trial randomness is derived from
-    (seed, trial index), so results are independent of scheduling.
+    distortion.  Per-trial randomness is derived from (seed, trial index), so
+    results are independent of scheduling.  The typicality fields are the
+    probabilities of the joint law from :func:`typicality_probability`, not
+    fractions of the trials, and ``target_d`` defaults to that law's mean
+    distortion.
     """
     if not (source.horizon == chain.horizon == dist.horizon == n):
         raise ShapeError("simulation horizons disagree")
@@ -296,11 +312,8 @@ def simulate(source: SourceModel, dist: DistortionModel,
     book = generate_codebook(output, rate, n, seed)
 
     xs = np.empty((trials, n + 1), dtype=np.int64)
-    ys = np.empty((trials, n + 1), dtype=np.int64)
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        xs[t] = source.sample(1, rng)[0]
-        ys[t] = _sample_y_given_x(chain, xs[t], rng)
+        xs[t] = source.sample(1, np.random.default_rng([seed, t]))[0]
 
     table = _trial_distortion_table(dist, xs, book.codewords, source.alphabet,
                                     chain.ny)
@@ -308,65 +321,12 @@ def simulate(source: SourceModel, dist: DistortionModel,
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
-    lam_norm, d_joint, i_norm, ed_norm = _joint_sample_stats(
-        source, dist, chain, xs, ys)
-    frac_t = float(np.mean(np.abs(lam_norm - i_norm) < epsilon))
-    frac_d = float(np.mean(np.abs(d_joint - ed_norm) < epsilon))
-
+    typ = typicality_probability(
+        TypicalitySpec(epsilon, n, source, chain, dist), seed=seed)
     if target_d is None:
-        target_d = ed_norm
+        target_d = typ.mean_dist
     return SimReport(trials=trials, mean_distortion=mean_d,
-                     typicality_T=frac_t, typicality_D=frac_d,
+                     typicality_T=typ.p_info, typicality_D=typ.p_dist,
                      rate=rate, target_D=float(target_d), epsilon=epsilon,
                      seed=seed, horizon=n, codebook_count=book.count,
                      std_err_distortion=se_d)
-
-
-def _sample_y_given_x(chain: CausalKernelChain, x: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    m = chain.horizon + 1
-    y = np.empty(m, dtype=np.int64)
-    if chain.is_memoryless:
-        W = chain.letter_kernel
-        u = rng.random(m)
-        y[:] = (u[:, None] > np.cumsum(W, axis=1)[x]).sum(axis=1)
-        return y
-    hy = 0
-    for i in range(m):
-        hx = int(ix.from_letters(x[: i + 1], chain.nx))
-        row = chain.stage(i)[hy, hx]
-        y[i] = rng.choice(chain.ny, p=row)
-        hy = hy * chain.ny + int(y[i])
-    return y
-
-
-def _joint_sample_stats(source, dist, chain, xs, ys):
-    """Normalized densities/distortions of joint samples plus exact means."""
-    m = chain.horizon + 1
-    if chain.is_memoryless and dist.is_single_letter:
-        W = chain.letter_kernel
-        lam = (np.log2(W[xs, ys]).sum(axis=1)
-               - _forward_output_logprob(source, W, ys)) / m
-        d = dist.letter_costs[xs, ys].mean(axis=1)
-        if source.kind == "iid":
-            mu1 = source.letter.weights
-            nu1 = mu1 @ W
-            cells = mu1[:, None] * W
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam_cell = np.log2(W / nu1[None, :])
-            i_norm = float(np.where(cells > 0, cells * lam_cell, 0.0).sum())
-            ed = float((cells * dist.letter_costs).sum())
-        else:
-            i_norm = float(lam.mean())
-            ed = float(d.mean())
-        return lam, d, i_norm, ed
-    joint = make_joint(source, chain)
-    K = chain.conditional_matrix()
-    nu = joint.y_marginal()
-    cost = dist.total_cost_matrix(joint.nx, joint.ny) / m
-    xi = ix.from_letters(xs, chain.nx)
-    yi = ix.from_letters(ys, chain.ny)
-    lam = np.log2(K[xi, yi] / nu[yi]) / m
-    d = cost[xi, yi]
-    return (lam, d, directed_information_of_joint(joint) / m,
-            average_distortion(joint, dist))

@@ -128,16 +128,14 @@ def average_distortion(joint: JointMeasure, dist: DistortionModel) -> float:
     return float(np.sum(joint.pmf * cost)) / (joint.horizon + 1)
 
 
-def d_max_min_sequence(source: SourceModel, dist: DistortionModel,
-                       ny: Optional[int] = None):
+def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
     """Zero-rate threshold: best deterministic output sequence.
 
     Exhaustively minimizes the normalized expected distortion over all
     |Y|**(n+1) constant reproduction sequences; ties break to the
     lexicographically smallest sequence.  Returns (value, sequence).
     """
-    n = source.horizon
-    ny = dist.ny if ny is None else ny
+    n, ny = source.horizon, dist.ny
     mu = source.joint_pmf()
     cost = dist.total_cost_matrix(source.alphabet, ny)
     per_seq = mu @ cost / (n + 1)

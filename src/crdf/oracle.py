@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -134,9 +133,8 @@ class _BatchEvaluator:
     Stage i of a batch of B kernel sets has shape (B, ny**i, nx**(i+1), ny).
     """
 
-    def __init__(self, source: SourceModel, dist: DistortionModel, s: float,
-                 ny: int):
-        n, nx = source.horizon, source.alphabet
+    def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
+        n, nx, ny = source.horizon, source.alphabet, dist.ny
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
         self.mu = source.joint_pmf()
         self.C = dist.total_cost_matrix(nx, ny)
@@ -218,8 +216,7 @@ def _batched_descent(ev: _BatchEvaluator, stages_b, step0: float = 0.25,
 
 def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
                            s: float, method: str = "grid",
-                           budget: int = 500, seed: int = 0,
-                           ny: Optional[int] = None) -> OracleResult:
+                           budget: int = 500, seed: int = 0) -> OracleResult:
     """Globally minimize the causal Lagrangian on a tiny instance.
 
     ``grid`` exhausts each stage-kernel row on a step-1/20 simplex lattice
@@ -228,17 +225,16 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    ny = dist.ny if ny is None else ny
-    n, nx = source.horizon, source.alphabet
+    n, nx, ny = source.horizon, source.alphabet, dist.ny
     if method == "grid":
         if n > 1 or nx > 3 or ny > 3:
             raise InstanceTooLarge("grid oracle supports n <= 1, alphabets <= 3")
-        ev = _BatchEvaluator(source, dist, s, ny)
+        ev = _BatchEvaluator(source, dist, s)
         best_val, best_stages = _grid_search(ev)
     elif method == "multistart":
         if n > 2:
             raise InstanceTooLarge("multistart oracle supports n <= 2")
-        ev = _BatchEvaluator(source, dist, s, ny)
+        ev = _BatchEvaluator(source, dist, s)
         rng = np.random.default_rng(seed)
         stages_b = [0.8 * rng.dirichlet(np.ones(ny),
                                         size=(budget, ny**i, nx ** (i + 1)))

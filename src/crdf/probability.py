@@ -235,19 +235,6 @@ class SourceModel:
                 w *= self.transition[letters[:, i - 1], letters[:, i]]
         return w
 
-    def letter_marginal(self, i: int) -> np.ndarray:
-        """Marginal pmf of X_i."""
-        if self.kind == "iid":
-            return self.letter.weights
-        if self.kind == "markov":
-            p = self.initial.weights
-            for _ in range(i):
-                p = p @ self.transition
-            return p
-        n, a = self.horizon, self.alphabet
-        lets = ix.letter_at(ix.all_indices(a, n + 1), a, n + 1, i)
-        return np.bincount(lets, weights=self.joint_weights, minlength=a)
-
     def sample(self, num: int, rng: np.random.Generator) -> np.ndarray:
         """Draw trajectories as a (num, n+1) letter array."""
         n, a = self.horizon, self.alphabet
@@ -330,11 +317,6 @@ class OutputProcess:
     @property
     def is_memoryless(self) -> bool:
         return self.letter is not None
-
-    def conditional(self, i: int) -> np.ndarray:
-        if self.is_memoryless:
-            return np.broadcast_to(self.letter[None, :], (self.ny**i, self.ny))
-        return self.conditionals[i]
 
     def joint_pmf(self) -> np.ndarray:
         if not self.is_memoryless:

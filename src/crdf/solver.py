@@ -109,12 +109,10 @@ def _max_step(a, b) -> float:
 class _Workspace:
     """Source prefix laws and tilt tables for one (source, dist, s) problem."""
 
-    def __init__(self, source: SourceModel, dist: DistortionModel, s: float,
-                 ny: int):
+    def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
         if source.horizon != dist.horizon:
             raise ShapeError("source and distortion horizons differ")
-        n = source.horizon
-        nx = source.alphabet
+        n, nx, ny = source.horizon, source.alphabet, dist.ny
         self.n, self.nx, self.ny = n, nx, ny
         self.mu = source.joint_pmf()
         # tilt tables exp(s*(rho_i - min_{y_i} rho_i)) laid out as
@@ -168,7 +166,6 @@ class _Workspace:
 
 def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
                   opts: SolverOptions = SolverOptions(),
-                  ny: Optional[int] = None,
                   warm_start=None) -> RateDistortionPoint:
     """Solve the fixed-s Lagrangian problem by alternating minimization.
 
@@ -178,9 +175,8 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    ny = dist.ny if ny is None else ny
-    ws = _Workspace(source, dist, s, ny)
-    n, nx = ws.n, ws.nx
+    ws = _Workspace(source, dist, s)
+    n, nx, ny = ws.n, ws.nx, ws.ny
     nu = [np.full((ny**i, ny), 1.0 / ny) for i in range(n + 1)]
     if warm_start is not None:
         # a multiplicative update never revives a zero mass and revives a
@@ -227,7 +223,7 @@ def default_s_grid(num: int = 40, smallest: float = 1e-3,
 
 def sweep(source: SourceModel, dist: DistortionModel,
           s_grid: Sequence[float], opts: SolverOptions = SolverOptions(),
-          ny: Optional[int] = None, mode: str = "warm",
+          mode: str = "warm",
           threads: Optional[int] = None) -> RDCurve:
     """Trace the rate-distortion curve over a grid of multipliers.
 
@@ -239,19 +235,16 @@ def sweep(source: SourceModel, dist: DistortionModel,
     if len(s_grid) == 0:
         raise ValueError("empty multiplier grid")
     grid = sorted(set(float(s) for s in s_grid), reverse=True)
-    ny_eff = dist.ny if ny is None else ny
     points = []
     if mode == "warm":
         warm = None
         for s in grid:
-            p = solve_fixed_s(source, dist, s, opts, ny=ny_eff,
-                              warm_start=warm)
+            p = solve_fixed_s(source, dist, s, opts, warm_start=warm)
             points.append(p)
-            if p.output is not None and not p.output.is_memoryless:
-                warm = p.output.conditionals
+            warm = p.output.conditionals
     elif mode == "cold":
         def solve_one(s):
-            return solve_fixed_s(source, dist, s, opts, ny=ny_eff)
+            return solve_fixed_s(source, dist, s, opts)
         if threads and threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 points = list(pool.map(solve_one, grid))
@@ -259,13 +252,12 @@ def sweep(source: SourceModel, dist: DistortionModel,
             points = [solve_one(s) for s in grid]
     else:
         raise ValueError("mode must be 'warm' or 'cold'")
-    dmax, _ = d_max_min_sequence(source, dist, ny=ny_eff)
+    dmax, _ = d_max_min_sequence(source, dist)
     return RDCurve(points=tuple(points), d_max_reported=dmax)
 
 
 def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
-                 opts: SolverOptions = SolverOptions(),
-                 ny: Optional[int] = None) -> RateDistortionPoint:
+                 opts: SolverOptions = SolverOptions()) -> RateDistortionPoint:
     """Classical Blahut-Arimoto on the trajectory alphabet (no causality).
 
     Optimizes an unconstrained kernel q(y^n | x^n) at multiplier s and
@@ -274,8 +266,7 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    ny = dist.ny if ny is None else ny
-    n, nx = source.horizon, source.alphabet
+    n, nx, ny = source.horizon, source.alphabet, dist.ny
     mu = source.joint_pmf()
     C = dist.total_cost_matrix(nx, ny)
     # rows shifted by their minimum so exp cannot underflow to 0; the factor
@@ -370,8 +361,7 @@ def properties_report(curve: RDCurve, source: SourceModel,
     pts = sorted(curve.converged_points(), key=lambda p: p.distortion)
     if len(pts) < 3:
         raise ValueError("need at least 3 converged points")
-    dmax, _ = d_max_min_sequence(source, dist,
-                                 ny=pts[0].output.ny if pts[0].output else None)
+    dmax, _ = d_max_min_sequence(source, dist)
     D = np.array([p.distortion for p in pts])
     R = np.array([p.rate for p in pts])
     monotone = bool(np.all(np.diff(R) <= monotone_tol))
@@ -399,7 +389,6 @@ def properties_report(curve: RDCurve, source: SourceModel,
 def bisect_s_for_distortion(source: SourceModel, dist: DistortionModel,
                             target: float,
                             opts: SolverOptions = SolverOptions(),
-                            ny: Optional[int] = None,
                             s_low: float = -60.0, tol_d: float = 1e-7,
                             max_steps: int = 200) -> RateDistortionPoint:
     """Find the multiplier whose achieved distortion matches ``target``.
@@ -412,9 +401,8 @@ def bisect_s_for_distortion(source: SourceModel, dist: DistortionModel,
     point = None
     for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
-        point = solve_fixed_s(source, dist, mid, opts, ny=ny, warm_start=warm)
-        if point.output is not None and not point.output.is_memoryless:
-            warm = point.output.conditionals
+        point = solve_fixed_s(source, dist, mid, opts, warm_start=warm)
+        warm = point.output.conditionals
         if abs(point.distortion - target) <= tol_d:
             return point
         if point.distortion > target:

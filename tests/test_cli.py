@@ -131,6 +131,19 @@ class TestSimulate:
         })
         assert run("simulate", cfg, tmp_path) == 0
 
+    def test_explicit_source_with_memoryless_kernel(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "source": {"kind": "explicit", "horizon": 1, "alphabet": 2,
+                       "weights": [0.4, 0.1, 0.1, 0.4]},
+            "kernel": {"kind": "memoryless", "horizon": 1,
+                       "letter_kernel": [[0.75, 0.25], [0.25, 0.75]]},
+            "sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1},
+        })
+        assert run("simulate", cfg, tmp_path) == 0
+        rep = json.loads((tmp_path / "sim_report.json").read_text())
+        assert rep["target_D"] == pytest.approx(0.25, abs=1e-12)
+        assert 0.0 <= rep["typicality_T"] <= 1.0
+
     def test_missing_sim_field(self, tmp_path):
         cfg = write_config(tmp_path, {
             "solver": {"s": -2.0},
@@ -185,6 +198,15 @@ class TestValidation:
         cfg = write_config(tmp_path, {"solver": {"s": -1.0, key: True}})
         assert run("solve", cfg, tmp_path) == 2
         assert f"solver.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ny", [1, 2, 3])
+    def test_output_alphabet_key_rejected(self, tmp_path, capsys, ny):
+        # the output alphabet is the distortion's; 3 used to crash the
+        # solver and 1 truncated the reproduction alphabet
+        cfg = write_config(tmp_path, {"solver": {"s": -1.0},
+                                      "output_alphabet": ny})
+        assert run("solve", cfg, tmp_path) == 2
+        assert "output_alphabet" in capsys.readouterr().err
 
     def test_unknown_command_rejected_by_argparse(self, tmp_path):
         cfg = write_config(tmp_path, {"solver": {"s": -1.0}})

@@ -12,14 +12,17 @@ from crdf import (
     TypicalitySpec,
     generate_codebook,
     simulate,
+    solve_fixed_s,
     typicality_probability,
 )
+from crdf import coding
 from crdf.coding import CodebookTooLarge, codebook_size
 from crdf.probability import OutputProcess
 
 # letter kernel achieving D = 0.25 for the uniform binary source under
 # Hamming distortion (crossover equals target distortion)
 W_QUARTER = np.array([[0.75, 0.25], [0.25, 0.75]])
+FLIP = np.array([[0.8, 0.2], [0.2, 0.8]])
 
 
 def bsc_spec(n, epsilon=0.05):
@@ -105,6 +108,31 @@ class TestTypicality:
         assert res.se_info > 0 and res.se_dist > 0
         assert 0.0 <= res.p_info <= 1.0
 
+    def test_dispatch_under_a_small_pair_cap(self, monkeypatch):
+        # stage chains and table distortions hold one entry per pair, so
+        # they enumerate whatever the cap; a per-letter Markov spec above
+        # the cap goes to Monte Carlo
+        monkeypatch.setattr(coding, "EXACT_PAIR_CAP", 4)
+        n = 2
+        spec = bsc_spec(n)
+        stages = [spec.chain.stage(i).copy() for i in range(n + 1)]
+        staged = TypicalitySpec(
+            epsilon=0.05, horizon=n, source=spec.source, dist=spec.dist,
+            chain=CausalKernelChain.from_stages(stages, 2, 2))
+        tables = DistortionModel.from_tables(
+            [spec.dist.stage_cost(i, 2, 2) for i in range(n + 1)], n)
+        tabled = TypicalitySpec(epsilon=0.05, horizon=n, source=spec.source,
+                                chain=spec.chain, dist=tables)
+        markov = TypicalitySpec(
+            epsilon=0.05, horizon=n,
+            source=SourceModel.markov(FinitePmf.uniform(2), FLIP, n),
+            chain=spec.chain, dist=spec.dist)
+        assert typicality_probability(staged).method == "enumeration"
+        assert typicality_probability(tabled).method == "enumeration"
+        assert typicality_probability(spec).method == "multinomial"
+        res = typicality_probability(markov, mc_samples=2000, seed=1)
+        assert res.method == "monte_carlo"
+
     def test_bad_epsilon_and_horizon_rejected(self):
         src = SourceModel.iid(FinitePmf.uniform(2), 1)
         chain = CausalKernelChain.memoryless(W_QUARTER, 1)
@@ -115,6 +143,13 @@ class TestTypicality:
         with pytest.raises(ShapeError):
             TypicalitySpec(epsilon=0.1, horizon=2, source=src,
                            chain=chain, dist=dist)
+
+    def test_alphabet_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            TypicalitySpec(epsilon=0.1, horizon=1,
+                           source=SourceModel.iid(FinitePmf.uniform(3), 1),
+                           chain=CausalKernelChain.memoryless(W_QUARTER, 1),
+                           dist=DistortionModel.hamming(3, 1))
 
 
 class TestCodebook:
@@ -190,6 +225,33 @@ class TestSimulate:
         dist = DistortionModel.hamming(2, n)
         rep = simulate(src, dist, chain, 0.34, n, 50, 0.05, 0)
         assert rep.target_D == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, method", [
+        ("iid", "multinomial"), ("solver", "enumeration"),
+        ("explicit", "enumeration")])
+    def test_typicality_is_that_of_the_joint_law(self, kind, method):
+        # the typicality fields and the default target come from
+        # typicality_probability on the same spec, whatever the trial count
+        n = 2
+        dist = DistortionModel.hamming(2, n)
+        chain = CausalKernelChain.memoryless(W_QUARTER, n)
+        if kind == "iid":
+            src = SourceModel.iid(FinitePmf.uniform(2), n)
+        elif kind == "solver":
+            src = SourceModel.markov(FinitePmf.uniform(2), FLIP, n)
+            chain = solve_fixed_s(src, dist, -1.5).chain
+        else:
+            w = SourceModel.markov(FinitePmf.uniform(2), FLIP, n).joint_pmf()
+            src = SourceModel.explicit(w, 2, n)
+        res = typicality_probability(
+            TypicalitySpec(epsilon=0.1, horizon=n, source=src, chain=chain,
+                           dist=dist), seed=5)
+        assert res.method == method
+        for trials in (10, 200):
+            rep = simulate(src, dist, chain, 0.5, n, trials, 0.1, 5)
+            assert rep.typicality_T == res.p_info
+            assert rep.typicality_D == res.p_dist
+            assert rep.target_D == res.mean_dist
 
     def test_horizon_mismatch_rejected(self):
         src = SourceModel.iid(FinitePmf.uniform(2), 2)

@@ -55,12 +55,6 @@ class TestSourceModel:
         mu = src.joint_pmf().reshape(2, 2)
         assert np.allclose(mu, np.array([0.6, 0.4])[:, None] * T)
 
-    def test_letter_marginal_markov(self):
-        T = np.array([[0.9, 0.1], [0.2, 0.8]])
-        src = SourceModel.markov(FinitePmf([1.0, 0.0]), T, 2)
-        assert np.allclose(src.letter_marginal(1), [0.9, 0.1])
-        assert np.allclose(src.letter_marginal(2), [0.9, 0.1] @ T)
-
     @given(rngs)
     @settings(max_examples=25, deadline=None)
     def test_joint_pmf_sums_to_one(self, rng):
@@ -126,8 +120,8 @@ class TestJointAndMarginals:
         src = random_iid_source(rng, 2, 1)
         chain = random_chain(rng, 2, 2, 1)
         out = output_marginal(make_joint(src, chain))
-        nu0 = out.conditional(0)   # (1, ny)
-        nu1 = out.conditional(1)   # (ny, ny)
+        nu0 = out.conditionals[0]   # (1, ny)
+        nu1 = out.conditionals[1]   # (ny, ny)
         rebuilt = (nu0.ravel()[:, None] * nu1).ravel()
         assert np.allclose(rebuilt, out.joint_pmf(), atol=1e-12)
 
