@@ -32,7 +32,6 @@ from .probability import (
     OutputProcess,
     ShapeError,
     SourceModel,
-    make_joint,
     output_marginal,
 )
 
@@ -127,12 +126,18 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
                             mean_dist=dist_mean)
 
 
-def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
+def _pair_law(source: SourceModel, chain: CausalKernelChain):
+    """The chain's (Nx, Ny) conditional matrix K and the joint mu * K."""
+    K = chain.conditional_matrix()
+    return K, JointMeasure(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
+                           pmf=source.joint_pmf()[:, None] * K)
+
+
+def _enumeration_typicality(spec: TypicalitySpec,
+                            pair_law=None) -> TypicalityResult:
     chain = spec.chain
     m = spec.horizon + 1
-    K = chain.conditional_matrix()
-    joint = JointMeasure(nx=chain.nx, ny=chain.ny, horizon=spec.horizon,
-                         pmf=spec.source.joint_pmf()[:, None] * K)
+    K, joint = pair_law or _pair_law(spec.source, chain)
     P = joint.pmf
     nu = joint.y_marginal()
     cost = spec.dist.total_cost_matrix(chain.nx, chain.ny) / m
@@ -192,22 +197,24 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
 
 def typicality_probability(spec: TypicalitySpec,
                            mc_samples: int = 200_000,
-                           seed: int = 0) -> TypicalityResult:
+                           seed: int = 0, pair_law=None) -> TypicalityResult:
     """P(T_eps) and P(D_eps) for the joint generated by the spec's chain.
 
     A stage chain or a table distortion is enumerated: it already holds a
     table with one entry per (x^n, y^n) pair.  A per-letter problem takes,
     in order: the exact multinomial recursion (iid source), full enumeration
     when the pair space has at most EXACT_PAIR_CAP atoms, and Monte Carlo
-    otherwise.
+    otherwise.  ``pair_law`` may carry the chain's conditional matrix K and
+    the joint mu * K, as a pair, when the caller has already built them;
+    enumeration then reuses them.
     """
     if not (spec.chain.is_memoryless and spec.dist.is_single_letter):
-        return _enumeration_typicality(spec)
+        return _enumeration_typicality(spec, pair_law)
     if spec.source.kind == "iid":
         return _multinomial_typicality(spec)
     pairs = (spec.source.alphabet * spec.chain.ny) ** (spec.horizon + 1)
     if pairs <= EXACT_PAIR_CAP:
-        return _enumeration_typicality(spec)
+        return _enumeration_typicality(spec, pair_law)
     return _monte_carlo_typicality(spec, mc_samples, seed)
 
 
@@ -268,13 +275,6 @@ class SimReport:
     std_err_distortion: float
 
 
-def _chain_output(source: SourceModel, chain: CausalKernelChain) -> OutputProcess:
-    if chain.is_memoryless and source.kind == "iid":
-        nu1 = source.letter.weights @ chain.letter_kernel
-        return OutputProcess.memoryless(nu1, chain.horizon)
-    return output_marginal(make_joint(source, chain))
-
-
 def _trial_distortion_table(dist: DistortionModel, x: np.ndarray,
                             words: np.ndarray, nx: int,
                             ny: int) -> np.ndarray:
@@ -308,7 +308,15 @@ def simulate(source: SourceModel, dist: DistortionModel,
     """
     if not (source.horizon == chain.horizon == dist.horizon == n):
         raise ShapeError("simulation horizons disagree")
-    output = _chain_output(source, chain)
+    spec = TypicalitySpec(epsilon, n, source, chain, dist)
+    pair_law = None
+    if chain.is_memoryless and source.kind == "iid":
+        nu1 = source.letter.weights @ chain.letter_kernel
+        output = OutputProcess.memoryless(nu1, n)
+    else:
+        # one joint serves the codebook's output law and the typicality
+        pair_law = _pair_law(source, chain)
+        output = output_marginal(pair_law[1])
     book = generate_codebook(output, rate, n, seed)
 
     xs = np.empty((trials, n + 1), dtype=np.int64)
@@ -321,8 +329,7 @@ def simulate(source: SourceModel, dist: DistortionModel,
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
-    typ = typicality_probability(
-        TypicalitySpec(epsilon, n, source, chain, dist), seed=seed)
+    typ = typicality_probability(spec, seed=seed, pair_law=pair_law)
     if target_d is None:
         target_d = typ.mean_dist
     return SimReport(trials=trials, mean_distortion=mean_d,

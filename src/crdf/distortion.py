@@ -128,6 +128,16 @@ def average_distortion(joint: JointMeasure, dist: DistortionModel) -> float:
     return float(np.sum(joint.pmf * cost)) / (joint.horizon + 1)
 
 
+def _min_sequence(source: SourceModel, dist: DistortionModel):
+    """Source pmf, total cost matrix, per-sequence normalized distortion and
+    the index of the best constant reproduction sequence."""
+    mu = source.joint_pmf()
+    cost = dist.total_cost_matrix(source.alphabet, dist.ny)
+    per_seq = mu @ cost / (source.horizon + 1)
+    best = int(np.argmin(per_seq))  # argmin takes the first = lexicographic min
+    return mu, cost, per_seq, best
+
+
 def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
     """Zero-rate threshold: best deterministic output sequence.
 
@@ -135,13 +145,35 @@ def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
     |Y|**(n+1) constant reproduction sequences; ties break to the
     lexicographically smallest sequence.  Returns (value, sequence).
     """
-    n, ny = source.horizon, dist.ny
-    mu = source.joint_pmf()
-    cost = dist.total_cost_matrix(source.alphabet, ny)
-    per_seq = mu @ cost / (n + 1)
-    best = int(np.argmin(per_seq))  # argmin takes the first = lexicographic min
-    seq = tuple(int(v) for v in ix.to_letters(best, ny, n + 1))
+    _, _, per_seq, best = _min_sequence(source, dist)
+    letters = ix.to_letters(best, dist.ny, source.horizon + 1)
+    seq = tuple(int(v) for v in letters)
     return float(per_seq[best]), seq
+
+
+def zero_rate_sequence(source: SourceModel, dist: DistortionModel,
+                       s: float) -> Optional[int]:
+    """Index of the D_max sequence y* if the point mass on it is optimal at s.
+
+    Blahut's (1972) KKT condition for the output law delta_{y*}: with C the
+    total cost over trajectories,
+
+        c_s(y) = sum_x mu(x) exp(s * (C(x, y) - C(x, y*)))  <=  c_s(y*)
+
+    for every y (c_s(y*) = sum mu = 1 up to rounding).  The point mass then
+    attains the classical Lagrangian minimum; it is a constant reproduction,
+    hence causal, and the classical minimum bounds the causal one from below,
+    so it is the causal optimum too, with R = 0 and D = D_max.  Only s < 0 is
+    certified: at s = 0 every output law independent of x is optimal.
+    Returns None when the condition fails.
+    """
+    if s >= 0:
+        return None
+    mu, cost, _, best = _min_sequence(source, dist)
+    reach = mu > 0
+    with np.errstate(over="ignore"):   # an overflow is a failed condition
+        c = mu[reach] @ np.exp(s * (cost[reach] - cost[reach, best, None]))
+    return best if float(np.max(c)) <= float(c[best]) else None
 
 
 def d_max_product(source: SourceModel, output: OutputProcess,

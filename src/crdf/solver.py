@@ -19,6 +19,16 @@ closed-form rate
 
 against the directed-information rate at every converged point.
 
+Zero-rate interval.  For s < 0 both solvers first run Blahut's (1972) KKT
+test for the point mass on y*, the constant sequence that attains D_max
+(``distortion.zero_rate_sequence``).  When it holds, that point mass
+minimizes the classical Lagrangian; being a constant reproduction it is
+causal, and the classical minimum bounds the causal one from below, so it is
+the causal optimum as well (R = 0, D = D_max).  The solve then starts its
+output law at the point mass and the usual loop stops after two iterations.
+s = 0 is left to the uniform start: there every output law independent of x
+is optimal, and the uniform one already converges at once.
+
 Conventions: s multiplies rho in natural units inside the exponent; all
 reported rates are bits per symbol and all distortions are normalized by
 (n+1).  The classical (non-causal) solver on the trajectory alphabet is
@@ -34,7 +44,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import indexing as ix
-from .distortion import DistortionModel, average_distortion, d_max_min_sequence
+from .distortion import (
+    DistortionModel,
+    average_distortion,
+    d_max_min_sequence,
+    zero_rate_sequence,
+)
 from .information import (
     LOG2E,
     directed_information_of_joint,
@@ -99,6 +114,12 @@ class RDCurve:
 
     def converged_points(self):
         return [p for p in self.points if p.converged]
+
+
+def _point_mass(k: int, size: int) -> np.ndarray:
+    nu = np.zeros(size)
+    nu[k] = 1.0
+    return nu
 
 
 def _max_step(a, b) -> float:
@@ -169,16 +190,23 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
                   warm_start=None) -> RateDistortionPoint:
     """Solve the fixed-s Lagrangian problem by alternating minimization.
 
-    ``warm_start`` may carry output conditionals from a neighboring solve.
-    Non-convergence within ``max_iters`` returns converged=False rather than
-    raising.
+    ``warm_start`` may carry output conditionals from a neighboring solve;
+    it is ignored where the zero-rate test certifies the D_max point mass,
+    which is then the start.  Non-convergence within ``max_iters`` returns
+    converged=False rather than raising.
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
     ws = _Workspace(source, dist, s)
     n, nx, ny = ws.n, ws.nx, ws.ny
     nu = [np.full((ny**i, ny), 1.0 / ny) for i in range(n + 1)]
-    if warm_start is not None:
+    y_star = zero_rate_sequence(source, dist, s)
+    if y_star is not None:
+        # the point mass on y* is optimal: start there and the loop stops
+        # after one repeat of the kernel
+        nu = _chain_rule_conditionals(_point_mass(y_star, ny ** (n + 1)),
+                                      ny, n)
+    elif warm_start is not None:
         # a multiplicative update never revives a zero mass and revives a
         # vanishing one too slowly to notice, so the warm conditionals are
         # mixed with the uniform law to give full support
@@ -262,7 +290,8 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
 
     Optimizes an unconstrained kernel q(y^n | x^n) at multiplier s and
     reports the per-symbol (R, D) pair; the gap to the causal solution is
-    the rate loss due to causality.
+    the rate loss due to causality.  Where the zero-rate test certifies the
+    D_max point mass, the output law starts there.
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
@@ -274,7 +303,8 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     low = C.min(axis=1)
     E = np.exp(s * (C - low[:, None]))
     Ny = ny ** (n + 1)
-    nu = np.full(Ny, 1.0 / Ny)
+    y_star = zero_rate_sequence(source, dist, s)
+    nu = np.full(Ny, 1.0 / Ny) if y_star is None else _point_mass(y_star, Ny)
     q_prev = None
     converged = False
     iterations = 0

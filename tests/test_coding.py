@@ -253,6 +253,18 @@ class TestSimulate:
             assert rep.typicality_D == res.p_dist
             assert rep.target_D == res.mean_dist
 
+    def test_one_joint_serves_codebook_and_typicality(self, monkeypatch):
+        n = 2
+        src = SourceModel.markov(FinitePmf.uniform(2), FLIP, n)
+        dist = DistortionModel.hamming(2, n)
+        chain = solve_fixed_s(src, dist, -1.5).chain
+        calls = []
+        build = CausalKernelChain.conditional_matrix
+        monkeypatch.setattr(CausalKernelChain, "conditional_matrix",
+                            lambda self: calls.append(1) or build(self))
+        simulate(src, dist, chain, 0.5, n, 10, 0.1, 5)
+        assert len(calls) == 1
+
     def test_horizon_mismatch_rejected(self):
         src = SourceModel.iid(FinitePmf.uniform(2), 2)
         chain = CausalKernelChain.memoryless(W_QUARTER, 2)

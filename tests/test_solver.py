@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from crdf import (
     SourceModel,
     average_distortion,
     bisect_s_for_distortion,
+    brute_force_lagrangian,
     classical_ba,
+    d_max_min_sequence,
     d_max_product,
     default_s_grid,
     gateaux_derivative,
@@ -42,6 +45,45 @@ def ternary_markov():
     T = np.array([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]])
     return (SourceModel.markov(FinitePmf([0.4, 0.3, 0.3]), T, 1),
             DistortionModel.hamming(3, 1))
+
+
+def binary_table_iid():
+    costs = [[0.0, 0.4388784397520523], [0.8585979199113825, 0.0]]
+    return (SourceModel.iid(FinitePmf([0.3, 0.7]), 2),
+            DistortionModel.single_letter(costs, 2))
+
+
+def zero_rate_test(source, dist):
+    """Blahut's test for the D_max point mass, from the letter costs alone.
+
+    Returns a function of s that says whether
+    c_s(y) = sum_x mu(x) exp(s (C(x, y) - C(x, y*))) <= c_s(y*) for all y.
+    """
+    nx, ny = dist.letter_costs.shape
+    m = source.horizon + 1
+    xs = np.array(list(itertools.product(range(nx), repeat=m)))
+    ys = np.array(list(itertools.product(range(ny), repeat=m)))
+    C = dist.letter_costs[xs[:, None, :], ys[None, :, :]].sum(axis=2)
+    mu = source.joint_pmf()
+    best = int(np.argmin(mu @ C))
+
+    def holds(s):
+        c = mu @ np.exp(s * (C - C[:, [best]]))
+        return c.max() <= c[best]
+    return holds
+
+
+def zero_rate_threshold(holds, lo=-20.0):
+    """Most negative s < 0 at which the test holds, by bisection."""
+    hi = -1e-9
+    assert holds(hi) and not holds(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestSolveFixedS:
@@ -178,6 +220,44 @@ class TestSweep:
         curve = sweep(src, DistortionModel.hamming(2, 1), default_s_grid())
         ds = [p.distortion for p in curve.points]   # points run s=0 downward
         assert all(a >= b - 1e-12 for a, b in zip(ds, ds[1:]))
+
+
+class TestZeroRateInterval:
+    """For s* <= s < 0 the D_max point mass is optimal (Blahut's KKT test);
+    the solvers start there and stop after one repeat of the kernel."""
+
+    @pytest.mark.parametrize("make, expected", [
+        (ternary_markov, -0.16705), (binary_table_iid, -2.5587)])
+    def test_edges_of_the_interval(self, make, expected):
+        src, dist = make()
+        s_star = zero_rate_threshold(zero_rate_test(src, dist))
+        assert s_star == pytest.approx(expected, abs=5e-5)
+        d_max, _ = d_max_min_sequence(src, dist)
+        curve = sweep(src, dist, default_s_grid())
+        inside = [p for p in curve.points if s_star <= p.s < 0]
+        assert len(inside) >= 20
+        for p in inside:
+            assert p.converged and p.iterations <= 2
+            assert abs(p.rate) <= 1e-15
+            assert p.distortion == pytest.approx(d_max, abs=1e-15)
+        outside = next(p for p in curve.points if p.s < s_star)
+        assert outside.iterations > 2
+        assert outside.rate > 0
+
+    def test_classical_ba_agrees_inside(self):
+        src, dist = binary_table_iid()
+        for s in (-0.01, -0.5, -2.5):
+            causal = solve_fixed_s(src, dist, s)
+            classic = classical_ba(src, dist, s)
+            assert causal.iterations == classic.iterations == 2
+            assert abs(causal.lagrangian() - classic.lagrangian()) <= 1e-12
+
+    def test_no_chain_beats_a_certified_point(self):
+        src, dist = ternary_markov()
+        p = solve_fixed_s(src, dist, -0.1)
+        assert p.iterations == 2
+        r = brute_force_lagrangian(src, dist, p.s, method="grid")
+        assert r.best_value >= p.lagrangian() - 1e-9
 
 
 class TestClassicalBA:

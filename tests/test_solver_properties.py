@@ -2,8 +2,10 @@
 
 Sources are iid or first-order Markov with alphabets of 2 or 3 letters and
 horizons n <= 2; costs are single-letter and uniform on [0, 1), so no cost
-row has minimum 0; multipliers lie in [-8, -0.5].
+row has minimum 0; multipliers lie in [-8, -0.5].  Where Blahut's test
+certifies the D_max point mass at the drawn s, both solvers must return it.
 """
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +28,21 @@ def instances(draw):
     return source, dist, draw(st.floats(-8.0, -0.5))
 
 
+def point_mass_is_optimal(source, dist, s):
+    """Blahut's KKT test for the output law concentrated on y*, the best
+    constant sequence: sum_x mu(x) e^{s (C(x,y) - C(x,y*))} <= its value at
+    y* for every y, with C summed letter by letter here."""
+    nx, ny = dist.letter_costs.shape
+    m = source.horizon + 1
+    xs = np.array(list(itertools.product(range(nx), repeat=m)))
+    ys = np.array(list(itertools.product(range(ny), repeat=m)))
+    C = dist.letter_costs[xs[:, None, :], ys[None, :, :]].sum(axis=2)
+    mu = source.joint_pmf()
+    best = int(np.argmin(mu @ C))
+    c = mu @ np.exp(s * (C - C[:, [best]]))
+    return c.max() <= c[best]
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(instances())
 def test_solutions_are_finite_bounded_dominant_and_repeatable(instance):
@@ -41,6 +58,11 @@ def test_solutions_are_finite_bounded_dominant_and_repeatable(instance):
     c = classical_ba(source, dist, s)
     if p.converged and c.converged:
         assert p.lagrangian() >= c.lagrangian() - 1e-8
+
+    if point_mass_is_optimal(source, dist, s):
+        assert abs(p.rate) <= 1e-12
+        assert abs(p.distortion - d_max) <= 1e-12
+        assert abs(p.lagrangian() - c.lagrangian()) <= 1e-12
 
     again = solve_fixed_s(source, dist, s)
     assert ((again.rate, again.distortion, again.rate_formula,
