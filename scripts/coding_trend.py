@@ -1,8 +1,9 @@
 """Random-codebook causal coding experiment for a uniform binary source.
 
 The single-stage solver is bisected to the target distortion; its letter
-kernel is lifted to each block length and used both to draw codebooks (via
-the induced output law) and to define the typical sets.  The empirical mean
+kernel is lifted to each block length and used both to draw codebooks (each
+codeword is a source block passed through the per-letter chain) and to define
+the typical sets.  The empirical mean
 distortion should drift down toward the target as the block grows; P(T) and
 P(D) are the exact typicality probabilities of the same channel.
 """

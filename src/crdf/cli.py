@@ -224,10 +224,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return run(args.command, cfg, Path(args.out), threads=args.threads)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:        # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,16 @@
 """Random-codebook realization of the causal source coding theorem.
 
 Typical sets of the directed-information density and of the distortion,
-random codebooks drawn from the optimal output law, and a block-causal
-minimum-distortion encoder.  Typicality probabilities are probabilities of
-the joint law of (source, chain), never fractions of sampled blocks.  They
-are exact by full enumeration for stage chains, table distortions and small
-pair spaces, exact by a multinomial count recursion for per-letter chains
-over iid sources (any horizon), and Monte Carlo with reported standard
-errors otherwise.
+random codebooks drawn from the output law nu, and a block-causal
+minimum-distortion encoder.  nu is the law of Y when a source block passes
+through the causal chain, so a codeword is one source block pushed through
+:meth:`CausalKernelChain.sample`; Monte Carlo typicality draws its pairs
+the same way.  Typicality probabilities are probabilities of the joint law
+of (source, chain), never fractions of sampled blocks.  They are exact by
+full enumeration for stage chains, table distortions and small pair spaces,
+exact by a multinomial count recursion for per-letter chains over iid
+sources (any horizon), and Monte Carlo with reported standard errors
+otherwise.
 
 Membership conventions (single normalization, block length = n+1 symbols):
 
@@ -29,10 +32,8 @@ from .information import directed_information_of_joint
 from .probability import (
     CausalKernelChain,
     JointMeasure,
-    OutputProcess,
     ShapeError,
     SourceModel,
-    output_marginal,
 )
 
 EXACT_PAIR_CAP = 10**7
@@ -126,18 +127,12 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
                             mean_dist=dist_mean)
 
 
-def _pair_law(source: SourceModel, chain: CausalKernelChain):
-    """The chain's (Nx, Ny) conditional matrix K and the joint mu * K."""
-    K = chain.conditional_matrix()
-    return K, JointMeasure(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
-                           pmf=source.joint_pmf()[:, None] * K)
-
-
-def _enumeration_typicality(spec: TypicalitySpec,
-                            pair_law=None) -> TypicalityResult:
+def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
     chain = spec.chain
     m = spec.horizon + 1
-    K, joint = pair_law or _pair_law(spec.source, chain)
+    K = chain.conditional_matrix()
+    joint = JointMeasure(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
+                         pmf=spec.source.joint_pmf()[:, None] * K)
     P = joint.pmf
     nu = joint.y_marginal()
     cost = spec.dist.total_cost_matrix(chain.nx, chain.ny) / m
@@ -180,8 +175,7 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
     m = spec.horizon + 1
     W = spec.chain.letter_kernel
     x = spec.source.sample(samples, rng)
-    u = rng.random(x.shape)
-    y = (u[..., None] > np.cumsum(W, axis=1)[x]).sum(axis=2)
+    y = spec.chain.sample(x, rng)
     lam = (np.log2(W[x, y]).sum(axis=1)
            - _forward_output_logprob(spec.source, W, y)) / m
     d = spec.dist.letter_costs[x, y].mean(axis=1)
@@ -197,30 +191,28 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
 
 def typicality_probability(spec: TypicalitySpec,
                            mc_samples: int = 200_000,
-                           seed: int = 0, pair_law=None) -> TypicalityResult:
+                           seed: int = 0) -> TypicalityResult:
     """P(T_eps) and P(D_eps) for the joint generated by the spec's chain.
 
     A stage chain or a table distortion is enumerated: it already holds a
     table with one entry per (x^n, y^n) pair.  A per-letter problem takes,
     in order: the exact multinomial recursion (iid source), full enumeration
     when the pair space has at most EXACT_PAIR_CAP atoms, and Monte Carlo
-    otherwise.  ``pair_law`` may carry the chain's conditional matrix K and
-    the joint mu * K, as a pair, when the caller has already built them;
-    enumeration then reuses them.
+    otherwise.
     """
     if not (spec.chain.is_memoryless and spec.dist.is_single_letter):
-        return _enumeration_typicality(spec, pair_law)
+        return _enumeration_typicality(spec)
     if spec.source.kind == "iid":
         return _multinomial_typicality(spec)
     pairs = (spec.source.alphabet * spec.chain.ny) ** (spec.horizon + 1)
     if pairs <= EXACT_PAIR_CAP:
-        return _enumeration_typicality(spec, pair_law)
+        return _enumeration_typicality(spec)
     return _monte_carlo_typicality(spec, mc_samples, seed)
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Random rate-distortion codebook: iid draws from the output law."""
+    """Random rate-distortion codebook: iid draws from the output law nu."""
 
     rate: float
     codewords: np.ndarray            # (count, n+1) letter array
@@ -235,20 +227,21 @@ def codebook_size(rate: float, n: int) -> int:
     return int(math.ceil(2.0 ** ((n + 1) * rate)))
 
 
-def generate_codebook(output: OutputProcess, rate: float, n: int,
-                      seed: int, cap: int = CODEBOOK_CAP) -> Codebook:
-    """Draw ceil(2^((n+1)R)) codewords iid from nu; deterministic per seed."""
+def generate_codebook(source: SourceModel, chain: CausalKernelChain,
+                      rate: float, seed: int) -> Codebook:
+    """Draw ceil(2^((n+1)R)) codewords iid from the output law nu of the
+    source and chain, each a source block passed through the chain;
+    deterministic per seed."""
     if rate < 0:
         raise ValueError("rate must be >= 0")
-    if output.horizon != n:
-        raise ShapeError("output process horizon mismatch")
-    count = codebook_size(rate, n)
-    if count > cap:
+    if source.horizon != chain.horizon or source.alphabet != chain.nx:
+        raise ShapeError("source and chain horizons or X-alphabets differ")
+    count = codebook_size(rate, chain.horizon)
+    if count > CODEBOOK_CAP:
         raise CodebookTooLarge(
-            f"codebook of {count} codewords exceeds the cap of {cap}")
+            f"codebook of {count} codewords exceeds the cap of {CODEBOOK_CAP}")
     rng = np.random.default_rng(seed)
-    words = output.sample(count, rng)
-    words = np.array(words)
+    words = chain.sample(source.sample(count, rng), rng)
     words.setflags(write=False)
     return Codebook(rate=rate, codewords=words, seed=seed)
 
@@ -298,26 +291,19 @@ def simulate(source: SourceModel, dist: DistortionModel,
              target_d: Optional[float] = None) -> SimReport:
     """Run the random-codebook causal-coding experiment.
 
-    Each trial samples a source block, encodes it to the codeword of minimum
-    average distortion (ties to the lowest index), and records the achieved
-    distortion.  Per-trial randomness is derived from (seed, trial index), so
-    results are independent of scheduling.  The typicality fields are the
-    probabilities of the joint law from :func:`typicality_probability`, not
-    fractions of the trials, and ``target_d`` defaults to that law's mean
-    distortion.
+    The codebook comes from :func:`generate_codebook`: source blocks passed
+    through the chain.  Each trial samples a source block, encodes it to the
+    codeword of minimum average distortion (ties to the lowest index), and
+    records the achieved distortion.  Per-trial randomness is derived from
+    (seed, trial index), so results are independent of scheduling.  The
+    typicality fields are the probabilities of the joint law from
+    :func:`typicality_probability`, not fractions of the trials, and
+    ``target_d`` defaults to that law's mean distortion.
     """
     if not (source.horizon == chain.horizon == dist.horizon == n):
         raise ShapeError("simulation horizons disagree")
     spec = TypicalitySpec(epsilon, n, source, chain, dist)
-    pair_law = None
-    if chain.is_memoryless and source.kind == "iid":
-        nu1 = source.letter.weights @ chain.letter_kernel
-        output = OutputProcess.memoryless(nu1, n)
-    else:
-        # one joint serves the codebook's output law and the typicality
-        pair_law = _pair_law(source, chain)
-        output = output_marginal(pair_law[1])
-    book = generate_codebook(output, rate, n, seed)
+    book = generate_codebook(source, chain, rate, seed)
 
     xs = np.empty((trials, n + 1), dtype=np.int64)
     for t in range(trials):
@@ -329,7 +315,7 @@ def simulate(source: SourceModel, dist: DistortionModel,
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
-    typ = typicality_probability(spec, seed=seed, pair_law=pair_law)
+    typ = typicality_probability(spec, seed=seed)
     if target_d is None:
         target_d = typ.mean_dist
     return SimReport(trials=trials, mean_distortion=mean_d,

@@ -24,6 +24,11 @@ from .information import LOG2E
 from .probability import CausalKernelChain, SourceModel
 from .solver import RateDistortionPoint
 
+# multistart descent: first mass-shift step, last step, sweeps per step
+DESCENT_STEP0 = 0.25
+DESCENT_MIN_STEP = 1e-6
+DESCENT_MAX_SWEEPS = 50
+
 
 class InstanceTooLarge(ValueError):
     """Requested oracle method cannot certify an instance of this size."""
@@ -156,26 +161,26 @@ class _BatchEvaluator:
         return mi / (self.n + 1) - self.s * LOG2E * d
 
 
-def _batched_descent(ev: _BatchEvaluator, stages_b, step0: float = 0.25,
-                     min_step: float = 1e-6, max_sweeps: int = 50) -> tuple:
+def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
     """Greedy mass-shifting descent, run on every start simultaneously.
 
     Each batch entry follows exactly the serial schedule: sweep all
     (stage, history) rows trying pairwise mass shifts of the current step,
     accept improvements immediately, halve the step once a sweep stalls.
-    ``max_sweeps`` caps the sweeps per step level because near-deterministic
-    optima otherwise cycle through microscopic improvements for millions of
-    evaluations; entries that have already stalled are unaffected by the
-    extra sweeps of their batch-mates (a stalled sweep is a no-op).
+    DESCENT_MAX_SWEEPS caps the sweeps per step level because
+    near-deterministic optima otherwise cycle through microscopic
+    improvements for millions of evaluations; entries that have already
+    stalled are unaffected by the extra sweeps of their batch-mates (a
+    stalled sweep is a no-op).
     """
     B = stages_b[0].shape[0]
     pairs = [(a, b) for a in range(ev.ny) for b in range(ev.ny) if a != b]
     maps = ix.stage_maps(ev.nx, ev.ny, ev.n)
     G = list(ix.stage_factors(stages_b, ev.nx, ev.ny, ev.n))
     best = ev.lagrangian(stages_b)
-    step = step0
-    while step >= min_step:
-        for _ in range(max_sweeps):
+    step = DESCENT_STEP0
+    while step >= DESCENT_MIN_STEP:
+        for _ in range(DESCENT_MAX_SWEEPS):
             improved = np.zeros(B, dtype=bool)
             for i in range(ev.n + 1):
                 P = np.ones_like(G[0])

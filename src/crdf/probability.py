@@ -139,6 +139,26 @@ class CausalKernelChain:
         )
         return table
 
+    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Pass source blocks, a (num, n+1) letter array, through the chain.
+
+        y_i is drawn from q_i(. | y^{i-1}, x^i) stage by stage; a per-letter
+        chain reads its rows from ``letter_kernel``, so it costs O(n).
+        """
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[1] != self.horizon + 1:
+            raise ShapeError(f"source blocks of shape {x.shape}, expected "
+                             f"(num, {self.horizon + 1})")
+        u = rng.random(x.shape)      # all uniforms first: one fixed stream
+        y = np.empty(x.shape, dtype=np.int64)
+        for i in range(self.horizon + 1):
+            rows = (self.letter_kernel[x[:, i]] if self.is_memoryless else
+                    self.stages[i][ix.from_letters(y[:, :i], self.ny),
+                                   ix.from_letters(x[:, :i + 1], self.nx)])
+            draw = (u[:, i, None] > np.cumsum(rows, axis=1)).sum(axis=1)
+            y[:, i] = np.minimum(draw, self.ny - 1)
+        return y
+
     def conditional_matrix(self) -> np.ndarray:
         """Full conditional K[x^n, y^n] = prod_i q_i, shape (Nx, Ny)."""
         n = self.horizon
@@ -280,57 +300,36 @@ class JointMeasure:
 class OutputProcess:
     """Reproduction-process law nu(y^n) with chain-rule conditionals.
 
-    ``conditionals[i]`` has shape (ny**i, ny) giving nu_i(y_i | y^{i-1});
-    rows whose conditioning prefix has no mass hold a uniform placeholder.
-    A memoryless output (iid product of a
-    single per-letter pmf) may be declared via ``letter`` with no explicit
-    joint, for horizons too large to materialize.
+    ``joint`` is the pmf over Y^{0..n}; ``conditionals[i]`` has shape
+    (ny**i, ny) giving nu_i(y_i | y^{i-1}), and rows whose conditioning
+    prefix has no mass hold a uniform placeholder.
     """
 
     ny: int
     horizon: int
-    joint: Optional[np.ndarray] = None
-    conditionals: Optional[tuple] = None
-    letter: Optional[np.ndarray] = None
+    joint: np.ndarray
+    conditionals: tuple
 
     def __post_init__(self):
-        if (self.joint is None) == (self.letter is None):
-            raise ValueError("exactly one of joint / letter required")
-        if self.joint is not None:
-            j = FinitePmf(self.joint).weights
-            if j.shape[0] != self.ny ** (self.horizon + 1):
-                raise ShapeError("output joint has wrong length")
-            object.__setattr__(self, "joint", j)
-            conds = tuple(_frozen_array(c) for c in self.conditionals)
-            object.__setattr__(self, "conditionals", conds)
-        else:
-            w = FinitePmf(self.letter).weights
-            if w.shape[0] != self.ny:
-                raise ShapeError("letter pmf has wrong length")
-            object.__setattr__(self, "letter", w)
+        j = FinitePmf(self.joint).weights
+        if j.shape[0] != self.ny ** (self.horizon + 1):
+            raise ShapeError("output joint has wrong length")
+        object.__setattr__(self, "joint", j)
+        conds = tuple(_frozen_array(c) for c in self.conditionals)
+        object.__setattr__(self, "conditionals", conds)
 
     @classmethod
     def memoryless(cls, letter, horizon: int):
-        w = np.asarray(letter, dtype=float)
-        return cls(ny=w.shape[0], horizon=horizon, letter=w)
-
-    @property
-    def is_memoryless(self) -> bool:
-        return self.letter is not None
+        """The iid product of one per-letter pmf, expanded to its joint."""
+        w = FinitePmf(letter).weights
+        ny = w.shape[0]
+        lets = ix.to_letters(ix.all_indices(ny, horizon + 1), ny, horizon + 1)
+        return cls(ny=ny, horizon=horizon, joint=w[lets].prod(axis=1),
+                   conditionals=tuple(np.tile(w, (ny**i, 1))
+                                      for i in range(horizon + 1)))
 
     def joint_pmf(self) -> np.ndarray:
-        if not self.is_memoryless:
-            return self.joint
-        n = self.horizon
-        lets = ix.to_letters(ix.all_indices(self.ny, n + 1), self.ny, n + 1)
-        return self.letter[lets].prod(axis=1)
-
-    def sample(self, num: int, rng: np.random.Generator) -> np.ndarray:
-        n = self.horizon
-        if self.is_memoryless:
-            return rng.choice(self.ny, size=(num, n + 1), p=self.letter)
-        idx = rng.choice(len(self.joint), size=num, p=self.joint)
-        return ix.to_letters(idx, self.ny, n + 1)
+        return self.joint
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ Schema (versioned via the "schema" field, currently "crdf-v1"):
                flattened over (y^{i-1}, x^i) rows in mixed-radix order, or
                {"kind": "memoryless", "horizon": n, "letter_kernel": [[...]]}
 * general kernel: {"nx": a, "ny": b, "horizon": n, "table": [[...]]}
+* output:      {"kind": "explicit", "ny": b, "horizon": n, "joint": [...]};
+               {"kind": "memoryless", "horizon": n, "letter": [...]} is
+               also read, and expanded to the joint of the iid product
 
 All trajectory-indexed rows follow :mod:`crdf.indexing` (time 0 most
 significant).  Numbers serialize via Python's repr, so emitted files are
@@ -28,8 +31,10 @@ from .probability import (
     CausalKernelChain,
     FinitePmf,
     GeneralKernel,
+    JointMeasure,
     OutputProcess,
     SourceModel,
+    output_marginal,
 )
 from .solver import RateDistortionPoint, RDCurve
 
@@ -169,14 +174,8 @@ def general_kernel_from_dict(d: dict, where: str = "kernel") -> GeneralKernel:
 
 
 def output_to_dict(output: OutputProcess) -> dict:
-    out = {"schema": SCHEMA, "ny": output.ny, "horizon": output.horizon}
-    if output.is_memoryless:
-        out["kind"] = "memoryless"
-        out["letter"] = output.letter.tolist()
-    else:
-        out["kind"] = "explicit"
-        out["joint"] = output.joint.tolist()
-    return out
+    return {"schema": SCHEMA, "ny": output.ny, "horizon": output.horizon,
+            "kind": "explicit", "joint": output.joint.tolist()}
 
 
 def output_from_dict(d: dict, where: str = "output") -> OutputProcess:
@@ -187,7 +186,6 @@ def output_from_dict(d: dict, where: str = "output") -> OutputProcess:
             int(_require(d, "horizon", where)))
     if kind == "explicit":
         joint = np.array(_require(d, "joint", where), float)
-        from .probability import JointMeasure, output_marginal
         ny = int(_require(d, "ny", where))
         horizon = int(_require(d, "horizon", where))
         # rebuild conditionals by marginalizing a dummy X of size 1
@@ -196,7 +194,7 @@ def output_from_dict(d: dict, where: str = "output") -> OutputProcess:
     raise ConfigError(f"{where}.kind", f"unknown output kind {kind!r}")
 
 
-def point_to_dict(point: RateDistortionPoint, include_kernels: bool = True) -> dict:
+def point_to_dict(point: RateDistortionPoint) -> dict:
     out = {
         "schema": SCHEMA,
         "s": point.s,
@@ -207,11 +205,11 @@ def point_to_dict(point: RateDistortionPoint, include_kernels: bool = True) -> d
         "converged": point.converged,
         "residual": point.residual,
     }
-    if include_kernels and point.chain is not None:
+    if point.chain is not None:
         out["chain"] = chain_to_dict(point.chain)
-    if include_kernels and point.kernel is not None:
+    if point.kernel is not None:
         out["kernel"] = general_kernel_to_dict(point.kernel)
-    if include_kernels and point.output is not None:
+    if point.output is not None:
         out["output"] = output_to_dict(point.output)
     return out
 

@@ -70,6 +70,17 @@ from .probability import (
 # weight of the uniform law in a warm start (see solve_fixed_s)
 WARM_MIX = 1e-6
 
+# properties_report: slack of the monotone, chord and R = 0 tests, and the
+# margin below D_max from which the rate must be positive
+MONOTONE_TOL = 1e-8
+CONVEX_TOL = 1e-6
+ZERO_RATE_TOL = 1e-6
+DMAX_MARGIN = 1e-3
+# bisect_s_for_distortion: s bracket's lower end, D tolerance, step limit
+BISECT_S_LOW = -60.0
+BISECT_TOL_D = 1e-7
+BISECT_MAX_STEPS = 200
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -382,11 +393,7 @@ class PropertiesReport:
 
 
 def properties_report(curve: RDCurve, source: SourceModel,
-                      dist: DistortionModel,
-                      monotone_tol: float = 1e-8,
-                      convex_tol: float = 1e-6,
-                      zero_rate_tol: float = 1e-6,
-                      dmax_margin: float = 1e-3) -> PropertiesReport:
+                      dist: DistortionModel) -> PropertiesReport:
     """Check the structural properties of a swept curve."""
     pts = sorted(curve.converged_points(), key=lambda p: p.distortion)
     if len(pts) < 3:
@@ -394,20 +401,20 @@ def properties_report(curve: RDCurve, source: SourceModel,
     dmax, _ = d_max_min_sequence(source, dist)
     D = np.array([p.distortion for p in pts])
     R = np.array([p.rate for p in pts])
-    monotone = bool(np.all(np.diff(R) <= monotone_tol))
+    monotone = bool(np.all(np.diff(R) <= MONOTONE_TOL))
     convex = True
     for k in range(len(pts) - 2):
         span = D[k + 2] - D[k]
         if span <= 1e-12:
             continue
         lam = (D[k + 1] - D[k]) / span
-        if R[k + 1] > (1 - lam) * R[k] + lam * R[k + 2] + convex_tol:
+        if R[k + 1] > (1 - lam) * R[k] + lam * R[k + 2] + CONVEX_TOL:
             convex = False
             break
     at_or_above = R[D >= dmax - 1e-12]
-    zero_at_dmax = bool(np.all(at_or_above <= zero_rate_tol)) \
+    zero_at_dmax = bool(np.all(at_or_above <= ZERO_RATE_TOL)) \
         if at_or_above.size else True
-    below = R[D < dmax - dmax_margin]
+    below = R[D < dmax - DMAX_MARGIN]
     positive_below = bool(np.all(below > 0)) if below.size else True
     return PropertiesReport(
         monotone_ok=monotone, convex_ok=convex,
@@ -418,22 +425,21 @@ def properties_report(curve: RDCurve, source: SourceModel,
 
 def bisect_s_for_distortion(source: SourceModel, dist: DistortionModel,
                             target: float,
-                            opts: SolverOptions = SolverOptions(),
-                            s_low: float = -60.0, tol_d: float = 1e-7,
-                            max_steps: int = 200) -> RateDistortionPoint:
+                            opts: SolverOptions = SolverOptions()
+                            ) -> RateDistortionPoint:
     """Find the multiplier whose achieved distortion matches ``target``.
 
     Plain bisection on s (D(s) is non-decreasing in s); the returned point is
     the final solve.
     """
-    lo, hi = s_low, 0.0
+    lo, hi = BISECT_S_LOW, 0.0
     warm = None
     point = None
-    for _ in range(max_steps):
+    for _ in range(BISECT_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         point = solve_fixed_s(source, dist, mid, opts, warm_start=warm)
         warm = point.output.conditionals
-        if abs(point.distortion - target) <= tol_d:
+        if abs(point.distortion - target) <= BISECT_TOL_D:
             return point
         if point.distortion > target:
             hi = mid

@@ -17,7 +17,6 @@ from crdf import (
 )
 from crdf import coding
 from crdf.coding import CodebookTooLarge, codebook_size
-from crdf.probability import OutputProcess
 
 # letter kernel achieving D = 0.25 for the uniform binary source under
 # Hamming distortion (crossover equals target distortion)
@@ -107,6 +106,10 @@ class TestTypicality:
         assert res.method == "monte_carlo"
         assert res.se_info > 0 and res.se_dist > 0
         assert 0.0 <= res.p_info <= 1.0
+        # the pairs are drawn through CausalKernelChain.sample; the stream
+        # is that of the earlier per-letter draw, so the values are too
+        assert res.p_info == 0.4514
+        assert res.p_dist == 0.6732
 
     def test_dispatch_under_a_small_pair_cap(self, monkeypatch):
         # stage chains and table distortions hold one entry per pair, so
@@ -158,28 +161,35 @@ class TestCodebook:
         assert codebook_size(1.0, 3) == 16
         assert codebook_size(0.34, 7) == math.ceil(2 ** (8 * 0.34))
 
+    @staticmethod
+    def bsc(n):
+        # the uniform source through W_QUARTER has the uniform output law
+        return (SourceModel.iid(FinitePmf.uniform(2), n),
+                CausalKernelChain.memoryless(W_QUARTER, n))
+
     def test_deterministic_per_seed(self):
-        out = OutputProcess.memoryless(np.array([0.5, 0.5]), 3)
-        a = generate_codebook(out, 0.5, 3, seed=7)
-        b = generate_codebook(out, 0.5, 3, seed=7)
-        c = generate_codebook(out, 0.5, 3, seed=8)
+        src, chain = self.bsc(3)
+        a = generate_codebook(src, chain, 0.5, seed=7)
+        b = generate_codebook(src, chain, 0.5, seed=7)
+        c = generate_codebook(src, chain, 0.5, seed=8)
         assert np.array_equal(a.codewords, b.codewords)
         assert not np.array_equal(a.codewords, c.codewords)
 
     def test_cap_enforced(self):
-        out = OutputProcess.memoryless(np.array([0.5, 0.5]), 30)
+        src, chain = self.bsc(30)
         with pytest.raises(CodebookTooLarge):
-            generate_codebook(out, 1.0, 30, seed=0)
+            generate_codebook(src, chain, 1.0, seed=0)
 
     def test_negative_rate_rejected(self):
-        out = OutputProcess.memoryless(np.array([0.5, 0.5]), 1)
+        src, chain = self.bsc(1)
         with pytest.raises(ValueError):
-            generate_codebook(out, -0.1, 1, seed=0)
+            generate_codebook(src, chain, -0.1, seed=0)
 
     def test_horizon_mismatch_rejected(self):
-        out = OutputProcess.memoryless(np.array([0.5, 0.5]), 1)
+        src, _ = self.bsc(1)
+        _, chain = self.bsc(2)
         with pytest.raises(ShapeError):
-            generate_codebook(out, 0.5, 2, seed=0)
+            generate_codebook(src, chain, 0.5, seed=0)
 
 
 class TestSimulate:
@@ -199,7 +209,7 @@ class TestSimulate:
     def test_frozen_trend_values(self):
         # rate 0.34 sits above R(0.25) = 1 - h(1/4) ~= 0.189; the empirical
         # mean distortion decreases toward the target as the block grows
-        frozen = {7: 0.27356, 11: 0.24688, 15: 0.23000}
+        frozen = {7: 0.26844, 11: 0.24413, 15: 0.23234}
         means = []
         for n, val in frozen.items():
             rep = self.run(n, trials=2000)
@@ -264,6 +274,31 @@ class TestSimulate:
                             lambda self: calls.append(1) or build(self))
         simulate(src, dist, chain, 0.5, n, 10, 0.1, 5)
         assert len(calls) == 1
+
+    def test_markov_per_letter_chain_at_n31(self, monkeypatch):
+        # 2^32 source blocks: codewords are source blocks passed through the
+        # chain, so nothing builds mu, the (Nx, Ny) kernel or the joint, and
+        # typicality above the enumeration cap is Monte Carlo
+        n = 31
+        src = SourceModel.markov(FinitePmf.uniform(2), FLIP, n)
+        chain = CausalKernelChain.memoryless(W_QUARTER, n)
+        dist = DistortionModel.hamming(2, n)
+
+        def refuse(self):
+            raise AssertionError("built a table over all trajectories")
+        monkeypatch.setattr(CausalKernelChain, "conditional_matrix", refuse)
+        monkeypatch.setattr(SourceModel, "joint_pmf", refuse)
+        seen = []
+        mc = coding._monte_carlo_typicality
+        monkeypatch.setattr(coding, "_monte_carlo_typicality",
+                            lambda *a: seen.append(mc(*a)) or seen[-1])
+        rep = simulate(src, dist, chain, 0.1, n, 200, 0.1, 7)
+        assert [r.method for r in seen] == ["monte_carlo"]
+        assert rep.typicality_T == seen[0].p_info
+        assert rep.typicality_D == seen[0].p_dist
+        assert rep.target_D == seen[0].mean_dist
+        assert rep.codebook_count == codebook_size(0.1, n) == 10
+        assert 0.0 <= rep.mean_distortion <= 1.0
 
     def test_horizon_mismatch_rejected(self):
         src = SourceModel.iid(FinitePmf.uniform(2), 2)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from crdf import (
     CausalKernelChain,
+    DistortionModel,
     FinitePmf,
     GeneralKernel,
     ShapeError,
@@ -11,8 +12,10 @@ from crdf import (
     make_joint,
     output_marginal,
     product_measure,
+    solve_fixed_s,
     validate_causal,
 )
+from crdf import indexing as ix
 from crdf.probability import joint_from_general
 from crdf.sampling import (
     anticausal_swap_kernel,
@@ -96,6 +99,40 @@ class TestCausalKernelChain:
         gen = chain.to_general()
         assert isinstance(gen, GeneralKernel)
         assert np.allclose(gen.table, chain.conditional_matrix())
+
+
+class TestChainSampler:
+    FLIP = [[0.8, 0.2], [0.2, 0.8]]
+
+    @pytest.mark.parametrize("kind", ["stages", "per_letter"])
+    def test_frequencies_match_the_output_law(self, kind):
+        # 400,000 Markov blocks at n = 2 passed through the chain: each
+        # y^2 occurs within 5 sigma of nu from make_joint
+        n, draws = 2, 400_000
+        src = SourceModel.markov(FinitePmf.uniform(2), self.FLIP, n)
+        if kind == "stages":
+            chain = solve_fixed_s(src, DistortionModel.hamming(2, n),
+                                  -1.5).chain
+        else:
+            chain = CausalKernelChain.memoryless([[0.75, 0.25],
+                                                  [0.25, 0.75]], n)
+        rng = np.random.default_rng(2026)
+        y = chain.sample(src.sample(draws, rng), rng)
+        freq = np.bincount(ix.from_letters(y, 2), minlength=8) / draws
+        nu = output_marginal(make_joint(src, chain)).joint
+        sigma = np.sqrt(nu * (1 - nu) / draws)
+        assert np.all(np.abs(freq - nu) <= 5 * sigma)
+
+    def test_per_letter_chain_builds_no_stage_table(self):
+        # stage(63) of a binary chain would have 2^64 rows
+        chain = CausalKernelChain.memoryless([[1.0, 0.0], [0.0, 1.0]], 63)
+        x = np.random.default_rng(0).integers(0, 2, size=(5, 64))
+        assert np.array_equal(chain.sample(x, np.random.default_rng(1)), x)
+
+    def test_block_length_checked(self):
+        chain = CausalKernelChain.memoryless([[0.5, 0.5], [0.5, 0.5]], 2)
+        with pytest.raises(ShapeError):
+            chain.sample(np.zeros((4, 2), dtype=int), np.random.default_rng(0))
 
 
 class TestJointAndMarginals:
