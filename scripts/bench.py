@@ -3,18 +3,21 @@
 Run from anywhere; it works on the checkout that holds this script:
 
     python3 scripts/bench.py head
-    python3 scripts/bench.py head --seconds 5 --seed 1
 
 The file, at the root of the checkout, has three parts:
 
-* ``perfbench``: the last JSON line of ``perfbench/run.py --workload all``
-  (every workload, untraced and traced, with ``correct``, attempted and
-  failed counts and the metrics of each);
+* ``perfbench``: the last JSON line of ``perfbench/run.py --workload all``,
+  run with the benchmark's own seed and run length (every workload,
+  untraced and traced, with ``correct``, attempted and failed counts and
+  the metrics of each);
 * ``tier1``: the Tier-1 suite's wall time, its pass/fail counts and its 15
   slowest phases, parsed from pytest's own ``--durations=15`` report;
 * ``src_lines``: the line count of ``src/crdf/*.py``.
 
-It keeps no timer of its own.  A run takes several minutes.
+It keeps no timer of its own.  A run takes several minutes.  It exits
+non-zero, writing no file, when ``perfbench/run.py`` fails (which it does
+when any workload reports ``correct: false``), and non-zero after writing
+the file when the Tier-1 suite fails.
 """
 import argparse
 import json
@@ -29,11 +32,12 @@ DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown)\s+(\S.*)$")
 SUMMARY = re.compile(r"^=*\s*(.*?) in (\d+\.\d+)s")
 
 
-def perfbench_summary(seed: int, seconds: float) -> dict:
+def perfbench_summary() -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seed", str(seed), "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", "all"],
         cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"perfbench/run.py exited with status {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -62,17 +66,13 @@ def src_lines() -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("label", help="names the file BENCH_<label>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0,
-                    help="run length of each perfbench workload")
     args = ap.parse_args()
-    report = {"label": args.label,
-              "perfbench": perfbench_summary(args.seed, args.seconds),
+    report = {"label": args.label, "perfbench": perfbench_summary(),
               "tier1": tier1(), "src_lines": src_lines()}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
-    return 0 if report["perfbench"]["correct"] else 1
+    return 0 if report["tier1"]["exit_code"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -324,12 +324,10 @@ class OutputProcess:
         w = FinitePmf(letter).weights
         ny = w.shape[0]
         lets = ix.to_letters(ix.all_indices(ny, horizon + 1), ny, horizon + 1)
-        return cls(ny=ny, horizon=horizon, joint=w[lets].prod(axis=1),
-                   conditionals=tuple(np.tile(w, (ny**i, 1))
-                                      for i in range(horizon + 1)))
-
-    def joint_pmf(self) -> np.ndarray:
-        return self.joint
+        joint = w[lets].prod(axis=1)
+        return cls(ny=ny, horizon=horizon, joint=joint,
+                   conditionals=tuple(
+                       _chain_rule_conditionals(joint, ny, horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def product_measure(source: SourceModel, output: OutputProcess) -> JointMeasure:
     if source.horizon != output.horizon:
         raise ShapeError("source and output horizons differ")
     mu = source.joint_pmf()
-    nu = output.joint_pmf()
+    nu = output.joint
     return JointMeasure(nx=source.alphabet, ny=output.ny,
                         horizon=source.horizon, pmf=np.outer(mu, nu))
 

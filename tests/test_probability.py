@@ -7,6 +7,7 @@ from crdf import (
     DistortionModel,
     FinitePmf,
     GeneralKernel,
+    OutputProcess,
     ShapeError,
     SourceModel,
     make_joint,
@@ -150,7 +151,7 @@ class TestJointAndMarginals:
         chain = random_chain(rng, 2, 2, 2)
         jm = make_joint(src, chain)
         out = output_marginal(jm)
-        assert np.allclose(out.joint_pmf(), jm.y_marginal(), atol=1e-12)
+        assert np.allclose(out.joint, jm.y_marginal(), atol=1e-12)
 
     def test_output_conditionals_recompose(self):
         rng = np.random.default_rng(17)
@@ -160,7 +161,7 @@ class TestJointAndMarginals:
         nu0 = out.conditionals[0]   # (1, ny)
         nu1 = out.conditionals[1]   # (ny, ny)
         rebuilt = (nu0.ravel()[:, None] * nu1).ravel()
-        assert np.allclose(rebuilt, out.joint_pmf(), atol=1e-12)
+        assert np.allclose(rebuilt, out.joint, atol=1e-12)
 
     def test_bsc_uniform_output_is_uniform(self):
         # binary symmetric stage kernel keeps a uniform source uniform,
@@ -168,7 +169,13 @@ class TestJointAndMarginals:
         W = np.array([[0.9, 0.1], [0.1, 0.9]])
         src = SourceModel.iid(FinitePmf.uniform(2), 1)
         out = output_marginal(make_joint(src, CausalKernelChain.memoryless(W, 1)))
-        assert np.allclose(out.joint_pmf(), 0.25)
+        assert np.allclose(out.joint, 0.25)
+
+    def test_memoryless_output_dead_rows_are_uniform(self):
+        out = OutputProcess.memoryless(np.array([0.0, 1.0]), 1)
+        assert np.array_equal(out.conditionals[0], [[0.0, 1.0]])
+        assert np.array_equal(out.conditionals[1], [[0.5, 0.5], [0.0, 1.0]])
+        assert np.array_equal(out.joint, [0.0, 0.0, 0.0, 1.0])
 
     def test_product_measure_factors(self):
         rng = np.random.default_rng(19)
@@ -176,7 +183,7 @@ class TestJointAndMarginals:
         chain = random_chain(rng, 2, 2, 1)
         out = output_marginal(make_joint(src, chain))
         pm = product_measure(src, out)
-        assert np.allclose(pm.pmf, np.outer(src.joint_pmf(), out.joint_pmf()))
+        assert np.allclose(pm.pmf, np.outer(src.joint_pmf(), out.joint))
 
 
 class TestValidateCausal:

@@ -126,14 +126,14 @@ class TestOutputRoundTrip:
         back = output_from_dict(output_to_dict(out))
         iid = np.prod(np.array([0.4, 0.6])[ix.to_letters(np.arange(8), 2, 3)],
                       axis=1)
-        assert np.allclose(out.joint_pmf(), iid)
-        assert np.allclose(back.joint_pmf(), out.joint_pmf())
+        assert np.allclose(out.joint, iid)
+        assert np.allclose(back.joint, out.joint)
 
     def test_explicit(self):
         src = SourceModel.iid(FinitePmf([0.3, 0.7]), 1)
         p = solve_fixed_s(src, DistortionModel.hamming(2, 1), -1.0)
         back = output_from_dict(output_to_dict(p.output))
-        assert np.allclose(back.joint_pmf(), p.output.joint_pmf(), atol=1e-12)
+        assert np.allclose(back.joint, p.output.joint, atol=1e-12)
 
 
 class TestResults:
