@@ -42,7 +42,7 @@ def main():
         src = SourceModel.iid(FinitePmf.uniform(2), n)
         chain = CausalKernelChain.memoryless(W, n)
         rep = simulate(src, DistortionModel.hamming(2, n), chain, args.rate,
-                       n, args.trials, args.epsilon, args.seed,
+                       args.trials, args.epsilon, args.seed,
                        target_d=args.target_d)
         print(f"{n:4d} {rep.mean_distortion:9.5f} "
               f"{rep.std_err_distortion:8.5f} {rep.typicality_T:7.4f} "

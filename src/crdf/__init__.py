@@ -22,9 +22,7 @@ from .information import (
     InfoReport,
     check_causality_equivalence,
     directed_information,
-    information_density,
     mutual_information,
-    relative_entropy,
 )
 from .distortion import (
     DistortionModel,

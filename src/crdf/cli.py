@@ -1,10 +1,12 @@
-"""Batch front door: `crdf <command> --config <path> [--out <dir>] [--threads K]`.
+"""Batch front door: `crdf <command> --config <path> [--out <dir>]`.
 
 Commands: solve, sweep, properties, oracle, simulate, dmax, info.  The config
 is a JSON document with a versioned "schema" field; all randomness flows from
-its single "seed".  Results are written as CSV (curve) and JSON (everything
-else) under the output directory.  Exit status: 0 on success, 1 when a
-properties/oracle check fails, 2 on validation errors.
+its single "seed".  Sweeps run sequentially, each solve warm-started from the
+last; "solver.mode" is still read, and "warm" is its only legal value.
+Results are written as CSV (curve) and JSON (everything else) under the
+output directory.  Exit status: 0 on success, 1 when a properties/oracle
+check fails, 2 on validation errors.
 """
 from __future__ import annotations
 
@@ -110,11 +112,17 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
+# ``threads`` is unused; perfbench/workloads.py still passes it
 def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     """Dispatch one command; returns the process exit status."""
-    for key in cfg.get("solver", {}):
+    solver = cfg.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError("solver", "must be a JSON object")
+    for key in solver:
         if key not in SOLVER_KEYS:
             raise ConfigError(f"solver.{key}", "unknown key")
+    if solver.get("mode", "warm") != "warm":
+        raise ConfigError("solver.mode", "the only legal value is 'warm'")
     if "output_alphabet" in cfg:
         raise ConfigError("output_alphabet", "unknown key; the output "
                           "alphabet is the distortion's")
@@ -130,9 +138,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
 
     if command in ("sweep", "properties"):
         source, dist = _problem(cfg)
-        mode = cfg.get("solver", {}).get("mode", "warm")
-        curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg),
-                      mode=mode, threads=threads)
+        curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg))
         if command == "sweep":
             (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
             kernels = {"schema": ser.SCHEMA,
@@ -178,7 +184,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
                                   _solver_options(cfg))
             chain = point.chain
         report = simulate(source, dist, chain, float(sim["rate"]),
-                          source.horizon, int(sim["trials"]),
+                          int(sim["trials"]),
                           float(sim["epsilon"]), seed,
                           target_d=sim.get("target_d"))
         _write_json(out_dir, "sim_report.json",
@@ -218,12 +224,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel-capable commands")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return run(args.command, cfg, Path(args.out), threads=args.threads)
+        return run(args.command, cfg, Path(args.out))
     except ValueError as exc:        # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

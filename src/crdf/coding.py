@@ -286,7 +286,7 @@ def _trial_distortion_table(dist: DistortionModel, x: np.ndarray,
 
 
 def simulate(source: SourceModel, dist: DistortionModel,
-             chain: CausalKernelChain, rate: float, n: int, trials: int,
+             chain: CausalKernelChain, rate: float, trials: int,
              epsilon: float, seed: int,
              target_d: Optional[float] = None) -> SimReport:
     """Run the random-codebook causal-coding experiment.
@@ -300,7 +300,10 @@ def simulate(source: SourceModel, dist: DistortionModel,
     :func:`typicality_probability`, not fractions of the trials, and
     ``target_d`` defaults to that law's mean distortion.
     """
-    if not (source.horizon == chain.horizon == dist.horizon == n):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n = source.horizon
+    if not (chain.horizon == dist.horizon == n):
         raise ShapeError("simulation horizons disagree")
     spec = TypicalitySpec(epsilon, n, source, chain, dist)
     book = generate_codebook(source, chain, rate, seed)

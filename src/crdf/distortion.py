@@ -128,14 +128,12 @@ def average_distortion(joint: JointMeasure, dist: DistortionModel) -> float:
     return float(np.sum(joint.pmf * cost)) / (joint.horizon + 1)
 
 
-def _min_sequence(source: SourceModel, dist: DistortionModel):
-    """Source pmf, total cost matrix, per-sequence normalized distortion and
-    the index of the best constant reproduction sequence."""
-    mu = source.joint_pmf()
-    cost = dist.total_cost_matrix(source.alphabet, dist.ny)
-    per_seq = mu @ cost / (source.horizon + 1)
+def _min_sequence(mu: np.ndarray, cost: np.ndarray, n: int):
+    """Per-sequence normalized distortion and the index of the best constant
+    reproduction sequence, from the source pmf and total cost matrix."""
+    per_seq = mu @ cost / (n + 1)
     best = int(np.argmin(per_seq))  # argmin takes the first = lexicographic min
-    return mu, cost, per_seq, best
+    return per_seq, best
 
 
 def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
@@ -145,7 +143,9 @@ def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
     |Y|**(n+1) constant reproduction sequences; ties break to the
     lexicographically smallest sequence.  Returns (value, sequence).
     """
-    _, _, per_seq, best = _min_sequence(source, dist)
+    per_seq, best = _min_sequence(
+        source.joint_pmf(), dist.total_cost_matrix(source.alphabet, dist.ny),
+        source.horizon)
     letters = ix.to_letters(best, dist.ny, source.horizon + 1)
     seq = tuple(int(v) for v in letters)
     return float(per_seq[best]), seq
@@ -167,9 +167,17 @@ def zero_rate_sequence(source: SourceModel, dist: DistortionModel,
     certified: at s = 0 every output law independent of x is optimal.
     Returns None when the condition fails.
     """
+    return _zero_rate_index(
+        source.joint_pmf(), dist.total_cost_matrix(source.alphabet, dist.ny),
+        s, source.horizon)
+
+
+def _zero_rate_index(mu: np.ndarray, cost: np.ndarray, s: float,
+                     n: int) -> Optional[int]:
+    """:func:`zero_rate_sequence` on a source pmf and total cost matrix."""
     if s >= 0:
         return None
-    mu, cost, _, best = _min_sequence(source, dist)
+    _, best = _min_sequence(mu, cost, n)
     reach = mu > 0
     with np.errstate(over="ignore"):   # an overflow is a failed condition
         c = mu[reach] @ np.exp(s * (cost[reach] - cost[reach, best, None]))

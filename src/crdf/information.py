@@ -1,14 +1,12 @@
 """Exact information measures on finite joints.
 
-Relative entropy, mutual information, directed information, information
-density, and the four-way equivalence report for causal kernels (causal
-factorization, the two Markov-chain conditions, and equality of mutual and
-directed information).
+Mutual information, directed information, and the four-way equivalence
+report for causal kernels (causal factorization, the two Markov-chain
+conditions, and equality of mutual and directed information).
 
-All quantities are in bits.  The 0*log0 = 0 convention is applied atomwise;
-absolute-continuity failures return ``math.inf``.  Conditional terms are
-computed from exact joint atoms, and conditioning histories carrying less
-than 1e-15 mass are skipped.
+All quantities are in bits.  The 0*log0 = 0 convention is applied
+atomwise.  Conditional terms are computed from exact joint atoms, and
+conditioning histories carrying less than 1e-15 mass are skipped.
 """
 from __future__ import annotations
 
@@ -18,14 +16,11 @@ from typing import Union
 
 import numpy as np
 
-from . import indexing as ix
 from .probability import (
     UNREACHABLE_MASS,
     CausalKernelChain,
-    FinitePmf,
     GeneralKernel,
     JointMeasure,
-    ShapeError,
     SourceModel,
     joint_from_general,
     make_joint,
@@ -33,17 +28,6 @@ from .probability import (
 )
 
 LOG2E = math.log2(math.e)
-
-
-def relative_entropy(p: FinitePmf, q: FinitePmf) -> float:
-    """D(p || q) in bits; +inf when p is not absolutely continuous w.r.t. q."""
-    if p.size != q.size:
-        raise ShapeError("pmfs live on different alphabets")
-    pw, qw = p.weights, q.weights
-    support = pw > 0
-    if np.any(qw[support] == 0):
-        return math.inf
-    return float(np.sum(pw[support] * np.log2(pw[support] / qw[support])))
 
 
 # Atoms below this mass are dropped from expectation sums: products of many
@@ -96,26 +80,6 @@ def directed_information(source: SourceModel,
     else:
         joint = joint_from_general(source, kernel)
     return directed_information_of_joint(joint)
-
-
-def information_density(joint: JointMeasure, x_traj, y_traj) -> float:
-    """log2 of the conditional-over-marginal ratio at one trajectory pair.
-
-    Accepts trajectory indices or letter tuples; raises on zero-probability
-    pairs.  The expectation of this density over the joint is the directed
-    information.
-    """
-    n = joint.horizon
-    xi = int(np.atleast_1d(x_traj)[0]) if np.ndim(x_traj) == 0 \
-        else int(ix.from_letters(np.asarray(x_traj), joint.nx))
-    yi = int(np.atleast_1d(y_traj)[0]) if np.ndim(y_traj) == 0 \
-        else int(ix.from_letters(np.asarray(y_traj), joint.ny))
-    p = joint.pmf[xi, yi]
-    if p <= 0:
-        raise ValueError("information density undefined at zero-probability pair")
-    mu_x = joint.x_marginal()[xi]
-    nu_y = joint.y_marginal()[yi]
-    return float(np.log2(p / (mu_x * nu_y)))
 
 
 def _conditional_independence(joint3: np.ndarray, tol: float) -> bool:

@@ -239,6 +239,8 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
     elif method == "multistart":
         if n > 2:
             raise InstanceTooLarge("multistart oracle supports n <= 2")
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
         ev = _BatchEvaluator(source, dist, s)
         rng = np.random.default_rng(seed)
         stages_b = [0.8 * rng.dirichlet(np.ones(ny),

@@ -9,9 +9,9 @@ and the three measure constructions used throughout the package:
 * product measure    pi(x^n, y^n) = mu(x^n) * nu(y^n)
 
 All types are immutable after construction and all operations are pure, so
-values can be shared freely between threads.  Summations rely on numpy's
-pairwise reduction, which keeps the 1e-12 closure invariants honest at the
-horizons this package targets (n <= 8 for explicit tables).
+values can be shared freely.  Summations rely on numpy's pairwise reduction,
+which keeps the 1e-12 closure invariants honest at the horizons this package
+targets (n <= 8 for explicit tables).
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
-"""JSON round-tripping for sources, distortions, kernels, and results.
+"""JSON readers for sources and distortions; JSON round-tripping for
+kernels and output processes; writers for results.
 
 Schema (versioned via the "schema" field, currently "crdf-v1"):
 
@@ -55,19 +56,6 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def source_to_dict(source: SourceModel) -> dict:
-    out = {"schema": SCHEMA, "kind": source.kind, "horizon": source.horizon}
-    if source.kind == "iid":
-        out["letter"] = source.letter.weights.tolist()
-    elif source.kind == "markov":
-        out["initial"] = source.initial.weights.tolist()
-        out["transition"] = source.transition.tolist()
-    else:
-        out["alphabet"] = source.alphabet
-        out["weights"] = source.joint_weights.tolist()
-    return out
-
-
 def source_from_dict(d: dict, where: str = "source") -> SourceModel:
     kind = _require(d, "kind", where)
     horizon = int(_require(d, "horizon", where))
@@ -87,17 +75,6 @@ def source_from_dict(d: dict, where: str = "source") -> SourceModel:
     except (ValueError, TypeError) as exc:
         raise ConfigError(where, str(exc)) from exc
     raise ConfigError(f"{where}.kind", f"unknown source kind {kind!r}")
-
-
-def distortion_to_dict(dist: DistortionModel) -> dict:
-    out = {"schema": SCHEMA, "horizon": dist.horizon}
-    if dist.is_single_letter:
-        out["kind"] = "single_letter"
-        out["costs"] = dist.letter_costs.tolist()
-    else:
-        out["kind"] = "table"
-        out["tables"] = [t.tolist() for t in dist.tables]
-    return out
 
 
 def distortion_from_dict(d: dict, nx: Optional[int] = None,

@@ -37,7 +37,6 @@ provided as a baseline for rate-loss-due-to-causality reports.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,6 +45,7 @@ import numpy as np
 from . import indexing as ix
 from .distortion import (
     DistortionModel,
+    _zero_rate_index,
     average_distortion,
     d_max_min_sequence,
     zero_rate_sequence,
@@ -57,6 +57,7 @@ from .information import (
 )
 from .probability import (
     CausalKernelChain,
+    FinitePmf,
     GeneralKernel,
     JointMeasure,
     OutputProcess,
@@ -80,6 +81,10 @@ DMAX_MARGIN = 1e-3
 BISECT_S_LOW = -60.0
 BISECT_TOL_D = 1e-7
 BISECT_MAX_STEPS = 200
+# default_s_grid: count and magnitude range of its negative multipliers
+S_GRID_NUM = 40
+S_GRID_SMALLEST = 1e-3
+S_GRID_LARGEST = 20.0
 
 
 @dataclass(frozen=True)
@@ -125,12 +130,6 @@ class RDCurve:
 
     def converged_points(self):
         return [p for p in self.points if p.converged]
-
-
-def _point_mass(k: int, size: int) -> np.ndarray:
-    nu = np.zeros(size)
-    nu[k] = 1.0
-    return nu
 
 
 def _max_step(a, b) -> float:
@@ -215,8 +214,8 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     if y_star is not None:
         # the point mass on y* is optimal: start there and the loop stops
         # after one repeat of the kernel
-        nu = _chain_rule_conditionals(_point_mass(y_star, ny ** (n + 1)),
-                                      ny, n)
+        nu = _chain_rule_conditionals(
+            FinitePmf.point_mass(y_star, ny ** (n + 1)).weights, ny, n)
     elif warm_start is not None:
         # a multiplicative update never revives a zero mass and revives a
         # vanishing one too slowly to notice, so the warm conditionals are
@@ -253,44 +252,29 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         chain=chain, output=output)
 
 
-def default_s_grid(num: int = 40, smallest: float = 1e-3,
-                   largest: float = 20.0) -> list:
+def default_s_grid() -> list:
     """Log-spaced negative multipliers plus the zero-rate endpoint s=0."""
-    mags = np.logspace(math.log10(smallest), math.log10(largest), num)
+    mags = np.logspace(math.log10(S_GRID_SMALLEST), math.log10(S_GRID_LARGEST),
+                       S_GRID_NUM)
     return sorted([0.0] + [-float(m) for m in mags], reverse=True)
 
 
 def sweep(source: SourceModel, dist: DistortionModel,
-          s_grid: Sequence[float], opts: SolverOptions = SolverOptions(),
-          mode: str = "warm",
-          threads: Optional[int] = None) -> RDCurve:
+          s_grid: Sequence[float],
+          opts: SolverOptions = SolverOptions()) -> RDCurve:
     """Trace the rate-distortion curve over a grid of multipliers.
 
-    ``mode='warm'`` runs sequentially from s=0 downward, warm-starting each
-    solve from the previous fixed point; ``mode='cold'`` solves every point
-    independently (optionally across threads).  Both modes must agree at
-    every converged point to within solver tolerance.
+    Runs sequentially from s=0 downward, warm-starting each solve from the
+    output conditionals of the previous fixed point.
     """
     if len(s_grid) == 0:
         raise ValueError("empty multiplier grid")
-    grid = sorted(set(float(s) for s in s_grid), reverse=True)
     points = []
-    if mode == "warm":
-        warm = None
-        for s in grid:
-            p = solve_fixed_s(source, dist, s, opts, warm_start=warm)
-            points.append(p)
-            warm = p.output.conditionals
-    elif mode == "cold":
-        def solve_one(s):
-            return solve_fixed_s(source, dist, s, opts)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                points = list(pool.map(solve_one, grid))
-        else:
-            points = [solve_one(s) for s in grid]
-    else:
-        raise ValueError("mode must be 'warm' or 'cold'")
+    warm = None
+    for s in sorted(set(float(s) for s in s_grid), reverse=True):
+        p = solve_fixed_s(source, dist, s, opts, warm_start=warm)
+        points.append(p)
+        warm = p.output.conditionals
     dmax, _ = d_max_min_sequence(source, dist)
     return RDCurve(points=tuple(points), d_max_reported=dmax)
 
@@ -314,8 +298,9 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     low = C.min(axis=1)
     E = np.exp(s * (C - low[:, None]))
     Ny = ny ** (n + 1)
-    y_star = zero_rate_sequence(source, dist, s)
-    nu = np.full(Ny, 1.0 / Ny) if y_star is None else _point_mass(y_star, Ny)
+    y_star = _zero_rate_index(mu, C, s, n)
+    nu = (np.full(Ny, 1.0 / Ny) if y_star is None
+          else FinitePmf.point_mass(y_star, Ny).weights)
     q_prev = None
     converged = False
     iterations = 0

@@ -280,7 +280,7 @@ class TestCriterion8:
             src = SourceModel.iid(FinitePmf.uniform(2), n)
             chain = CausalKernelChain.memoryless(W, n)
             rep = simulate(src, DistortionModel.hamming(2, n), chain,
-                           0.34, n, 2000, 0.05, 20260823, target_d=0.25)
+                           0.34, 2000, 0.05, 20260823, target_d=0.25)
             means.append(rep.mean_distortion)
         ok = (all(a >= b for a, b in zip(means, means[1:]))
               and means[-1] <= 0.35)

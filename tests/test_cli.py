@@ -19,11 +19,8 @@ def write_config(tmp_path, extra, name="config.json"):
     return str(path)
 
 
-def run(command, config, out_dir, threads=None):
-    argv = [command, "--config", config, "--out", str(out_dir)]
-    if threads is not None:
-        argv += ["--threads", str(threads)]
-    return main(argv)
+def run(command, config, out_dir):
+    return main([command, "--config", config, "--out", str(out_dir)])
 
 
 class TestSolve:
@@ -78,6 +75,24 @@ class TestSweepAndProperties:
         cfg = write_config(tmp_path, {"solver": {
             "s_grid": [-2.0, -1.0, -0.5, 0.0], "mode": "bogus"}})
         assert run(command, cfg, tmp_path) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_cold_mode_rejected(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"solver": {
+            "s": -1.0, "s_grid": [-2.0, -1.0, 0.0], "mode": "cold"}})
+        assert run(command, cfg, tmp_path) == 2
+        assert "solver.mode" in capsys.readouterr().err
+
+    def test_warm_mode_key_changes_nothing(self, tmp_path):
+        grid = [-2.0, -0.5, 0.0]
+        plain = write_config(tmp_path, {"solver": {"s_grid": grid}}, "a.json")
+        warm = write_config(tmp_path, {"solver": {"s_grid": grid,
+                                                  "mode": "warm"}}, "b.json")
+        assert run("sweep", plain, tmp_path / "a") == 0
+        assert run("sweep", warm, tmp_path / "b") == 0
+        for name in ("curve.csv", "kernels.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
 
 class TestOracle:
@@ -144,6 +159,16 @@ class TestSimulate:
         assert rep["target_D"] == pytest.approx(0.25, abs=1e-12)
         assert 0.0 <= rep["typicality_T"] <= 1.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path, {
+            "solver": {"s": -2.0},
+            "sim": {"rate": 0.5, "trials": trials, "epsilon": 0.1},
+        })
+        assert run("simulate", cfg, tmp_path) == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / "sim_report.json").exists()
+
     def test_missing_sim_field(self, tmp_path):
         cfg = write_config(tmp_path, {
             "solver": {"s": -2.0},
@@ -199,6 +224,12 @@ class TestValidation:
         assert run("solve", cfg, tmp_path) == 2
         assert f"solver.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "dmax"])
+    def test_solver_block_must_be_an_object(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"solver": []})
+        assert run(command, cfg, tmp_path) == 2
+        assert "solver" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ny", [1, 2, 3])
     def test_output_alphabet_key_rejected(self, tmp_path, capsys, ny):
         # the output alphabet is the distortion's; 3 used to crash the
@@ -207,6 +238,13 @@ class TestValidation:
                                       "output_alphabet": ny})
         assert run("solve", cfg, tmp_path) == 2
         assert "output_alphabet" in capsys.readouterr().err
+
+    def test_threads_flag_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, {"solver": {"s_grid": [-1.0, 0.0]}})
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                  "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_unknown_command_rejected_by_argparse(self, tmp_path):
         cfg = write_config(tmp_path, {"solver": {"s": -1.0}})

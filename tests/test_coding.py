@@ -198,7 +198,7 @@ class TestSimulate:
         src = SourceModel.iid(FinitePmf.uniform(2), n)
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
         dist = DistortionModel.hamming(2, n)
-        return simulate(src, dist, chain, 0.34, n, trials, 0.05, seed,
+        return simulate(src, dist, chain, 0.34, trials, 0.05, seed,
                         target_d=0.25)
 
     def test_deterministic(self):
@@ -233,7 +233,7 @@ class TestSimulate:
         src = SourceModel.iid(FinitePmf.uniform(2), n)
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
         dist = DistortionModel.hamming(2, n)
-        rep = simulate(src, dist, chain, 0.34, n, 50, 0.05, 0)
+        rep = simulate(src, dist, chain, 0.34, 50, 0.05, 0)
         assert rep.target_D == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("kind, method", [
@@ -258,7 +258,7 @@ class TestSimulate:
                            dist=dist), seed=5)
         assert res.method == method
         for trials in (10, 200):
-            rep = simulate(src, dist, chain, 0.5, n, trials, 0.1, 5)
+            rep = simulate(src, dist, chain, 0.5, trials, 0.1, 5)
             assert rep.typicality_T == res.p_info
             assert rep.typicality_D == res.p_dist
             assert rep.target_D == res.mean_dist
@@ -272,7 +272,7 @@ class TestSimulate:
         build = CausalKernelChain.conditional_matrix
         monkeypatch.setattr(CausalKernelChain, "conditional_matrix",
                             lambda self: calls.append(1) or build(self))
-        simulate(src, dist, chain, 0.5, n, 10, 0.1, 5)
+        simulate(src, dist, chain, 0.5, 10, 0.1, 5)
         assert len(calls) == 1
 
     def test_markov_per_letter_chain_at_n31(self, monkeypatch):
@@ -292,7 +292,7 @@ class TestSimulate:
         mc = coding._monte_carlo_typicality
         monkeypatch.setattr(coding, "_monte_carlo_typicality",
                             lambda *a: seen.append(mc(*a)) or seen[-1])
-        rep = simulate(src, dist, chain, 0.1, n, 200, 0.1, 7)
+        rep = simulate(src, dist, chain, 0.1, 200, 0.1, 7)
         assert [r.method for r in seen] == ["monte_carlo"]
         assert rep.typicality_T == seen[0].p_info
         assert rep.typicality_D == seen[0].p_dist
@@ -305,7 +305,7 @@ class TestSimulate:
         chain = CausalKernelChain.memoryless(W_QUARTER, 2)
         dist = DistortionModel.hamming(2, 3)
         with pytest.raises(ShapeError):
-            simulate(src, dist, chain, 0.3, 2, 10, 0.05, 0)
+            simulate(src, dist, chain, 0.3, 10, 0.05, 0)
 
     def test_prefix_dependent_distortion_path(self):
         # a stage table that depends on the whole prefix exercises the
@@ -316,7 +316,7 @@ class TestSimulate:
         dist = DistortionModel.from_tables([t0, t1], n)
         src = SourceModel.iid(FinitePmf.uniform(2), n)
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
-        rep = simulate(src, dist, chain, 1.0, n, 100, 0.5, 3)
+        rep = simulate(src, dist, chain, 1.0, 100, 0.5, 3)
         assert rep.mean_distortion >= 0.0
 
     def test_table_distortion_spans_unsampled_letters(self):
@@ -328,7 +328,7 @@ class TestSimulate:
         tables = DistortionModel.from_tables(
             [ham.stage_cost(i, 2, 2) for i in range(n + 1)], n)
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
-        by_table = simulate(src, tables, chain, 0.5, n, 5, 0.1, 0)
-        by_letter = simulate(src, ham, chain, 0.5, n, 5, 0.1, 0)
+        by_table = simulate(src, tables, chain, 0.5, 5, 0.1, 0)
+        by_letter = simulate(src, ham, chain, 0.5, 5, 0.1, 0)
         assert by_table.mean_distortion == pytest.approx(
             by_letter.mean_distortion, abs=1e-12)

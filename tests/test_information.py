@@ -10,10 +10,8 @@ from crdf import (
     SourceModel,
     check_causality_equivalence,
     directed_information,
-    information_density,
     make_joint,
     mutual_information,
-    relative_entropy,
 )
 from crdf.information import directed_information_of_joint
 from crdf.probability import joint_from_general
@@ -22,7 +20,6 @@ from crdf.sampling import (
     random_chain,
     random_iid_source,
     random_markov_source,
-    random_pmf,
 )
 
 rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
@@ -30,30 +27,6 @@ rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
 
 def h2(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
-class TestRelativeEntropy:
-    def test_zero_iff_equal(self):
-        p = FinitePmf([0.3, 0.7])
-        assert relative_entropy(p, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_known_value(self):
-        p = FinitePmf([0.5, 0.5])
-        q = FinitePmf([0.25, 0.75])
-        expect = 0.5 * math.log2(2.0) + 0.5 * math.log2(2.0 / 3.0)
-        assert relative_entropy(p, q) == pytest.approx(expect, abs=1e-12)
-
-    def test_infinite_on_support_violation(self):
-        p = FinitePmf([0.5, 0.5])
-        q = FinitePmf([1.0, 0.0])
-        assert relative_entropy(p, q) == math.inf
-
-    @given(rngs)
-    @settings(max_examples=30, deadline=None)
-    def test_nonnegative(self, rng):
-        p = random_pmf(rng, 3)
-        q = random_pmf(rng, 3, floor=1e-3)
-        assert relative_entropy(p, q) >= -1e-12
 
 
 class TestMutualAndDirected:
@@ -120,26 +93,3 @@ class TestCausalityEquivalenceReport:
         assert not rep.all_hold
         assert not rep.causal_factorization
         assert not rep.info_equal
-
-
-class TestInformationDensity:
-    def test_mean_density_is_directed_information(self):
-        rng = np.random.default_rng(41)
-        src = random_iid_source(rng, 2, 1)
-        chain = random_chain(rng, 2, 2, 1, floor=1e-3)
-        jm = make_joint(src, chain)
-        total = 0.0
-        for xi in range(4):
-            for yi in range(4):
-                p = jm.pmf[xi, yi]
-                if p > 0:
-                    total += p * information_density(jm, xi, yi)
-        assert total == pytest.approx(directed_information_of_joint(jm),
-                                      abs=1e-9)
-
-    def test_zero_probability_pair_raises(self):
-        src = SourceModel.iid(FinitePmf.uniform(2), 0)
-        W = np.array([[1.0, 0.0], [0.0, 1.0]])
-        jm = make_joint(src, CausalKernelChain.memoryless(W, 0))
-        with pytest.raises(ValueError):
-            information_density(jm, 0, 1)

@@ -113,6 +113,13 @@ class TestMultistartOracle:
             brute_force_lagrangian(src, DistortionModel.hamming(2, 3), -1.0,
                                    method="multistart", budget=5)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        src = SourceModel.iid(UNIFORM2, 1)
+        with pytest.raises(ValueError, match="budget"):
+            brute_force_lagrangian(src, DistortionModel.hamming(2, 1), -1.0,
+                                   method="multistart", budget=budget)
+
     def test_positive_s_rejected(self):
         src = SourceModel.iid(UNIFORM2, 0)
         with pytest.raises(ValueError):

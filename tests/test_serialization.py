@@ -20,40 +20,43 @@ from crdf.serialization import (
     chain_to_dict,
     curve_to_csv,
     distortion_from_dict,
-    distortion_to_dict,
     general_kernel_from_dict,
     general_kernel_to_dict,
     output_from_dict,
     output_to_dict,
     point_to_dict,
     source_from_dict,
-    source_to_dict,
 )
 
 
 class TestSourceRoundTrip:
+    """Source reader on literal dicts, one per kind."""
+
     def test_iid(self):
-        src = SourceModel.iid(FinitePmf([0.3, 0.7]), 2)
-        back = source_from_dict(source_to_dict(src))
+        back = source_from_dict({"kind": "iid", "horizon": 2,
+                                 "letter": [0.3, 0.7]})
         assert back.kind == "iid" and back.horizon == 2
+        src = SourceModel.iid(FinitePmf([0.3, 0.7]), 2)
         assert np.allclose(back.joint_pmf(), src.joint_pmf())
 
     def test_markov(self):
         T = np.array([[0.9, 0.1], [0.2, 0.8]])
-        src = SourceModel.markov(FinitePmf([0.6, 0.4]), T, 1)
-        back = source_from_dict(source_to_dict(src))
+        back = source_from_dict({"kind": "markov", "horizon": 1,
+                                 "initial": [0.6, 0.4],
+                                 "transition": T.tolist()})
         assert back.kind == "markov"
+        src = SourceModel.markov(FinitePmf([0.6, 0.4]), T, 1)
         assert np.allclose(back.joint_pmf(), src.joint_pmf())
 
     def test_explicit(self):
-        w = np.array([0.1, 0.2, 0.3, 0.4])
-        src = SourceModel.explicit(w, 2, 1)
-        back = source_from_dict(source_to_dict(src))
+        w = [0.1, 0.2, 0.3, 0.4]
+        back = source_from_dict({"kind": "explicit", "horizon": 1,
+                                 "alphabet": 2, "weights": w})
         assert np.allclose(back.joint_pmf(), w)
 
     def test_json_safe(self):
+        d = json.loads('{"kind": "iid", "horizon": 1, "letter": [0.25, 0.75]}')
         src = SourceModel.iid(FinitePmf([0.25, 0.75]), 1)
-        d = json.loads(json.dumps(source_to_dict(src)))
         assert np.allclose(source_from_dict(d).joint_pmf(), src.joint_pmf())
 
     def test_missing_field_names_location(self):
@@ -70,17 +73,22 @@ class TestSourceRoundTrip:
 
 
 class TestDistortionRoundTrip:
+    """Distortion reader on literal dicts, one per kind."""
+
     def test_single_letter(self):
+        costs = 1.0 - np.eye(3)
+        back = distortion_from_dict({"kind": "single_letter", "horizon": 2,
+                                     "costs": costs.tolist()})
         dist = DistortionModel.hamming(3, 2)
-        back = distortion_from_dict(distortion_to_dict(dist))
         assert np.array_equal(back.total_cost_matrix(3, 3),
                               dist.total_cost_matrix(3, 3))
 
     def test_tables(self):
         t0 = np.array([[0.0, 1.0], [1.0, 0.0]])
         t1 = np.arange(16, dtype=float).reshape(4, 4)
+        back = distortion_from_dict({"kind": "table", "horizon": 1,
+                                     "tables": [t0.tolist(), t1.tolist()]})
         dist = DistortionModel.from_tables([t0, t1], 1)
-        back = distortion_from_dict(distortion_to_dict(dist))
         assert np.array_equal(back.total_cost_matrix(2, 2),
                               dist.total_cost_matrix(2, 2))
 
