@@ -32,6 +32,8 @@ def classical_rate_at(src, dist, target_d):
     lo, hi = -60.0, 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):     # the bracket is one double wide
+            break
         if classical_ba(src, dist, mid).distortion > target_d:
             hi = mid
         else:

@@ -21,7 +21,6 @@ from .probability import (
 from .information import (
     InfoReport,
     check_causality_equivalence,
-    directed_information,
     mutual_information,
 )
 from .distortion import (

@@ -33,7 +33,13 @@ from .solver import (
 
 CONFIG_SCHEMA = "crdf-config-v1"
 COMMANDS = ("solve", "sweep", "properties", "oracle", "simulate", "dmax", "info")
-SOLVER_KEYS = ("s", "s_grid", "tol", "max_iters", "mode")
+# legal keys of the config (None) and its blocks; a misspelt key must not
+# fall back to its default
+CONFIG_KEYS = {None: ("schema", "seed", "source", "distortion", "solver",
+                      "oracle", "sim", "kernel", "output", "tol"),
+               "solver": ("s", "s_grid", "tol", "max_iters", "mode"),
+               "oracle": ("method", "budget", "tol"),
+               "sim": ("rate", "trials", "epsilon", "target_d")}
 
 
 def _load_config(path: str) -> dict:
@@ -115,17 +121,16 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
 # ``threads`` is unused; perfbench/workloads.py still passes it
 def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     """Dispatch one command; returns the process exit status."""
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("solver", "must be a JSON object")
-    for key in solver:
-        if key not in SOLVER_KEYS:
-            raise ConfigError(f"solver.{key}", "unknown key")
-    if solver.get("mode", "warm") != "warm":
+    for block, legal in CONFIG_KEYS.items():
+        keys = cfg if block is None else cfg.get(block, {})
+        if not isinstance(keys, dict):
+            raise ConfigError(block, "must be a JSON object")
+        for key in keys:
+            if key not in legal:
+                raise ConfigError(key if block is None else f"{block}.{key}",
+                                  "unknown key")
+    if cfg.get("solver", {}).get("mode", "warm") != "warm":
         raise ConfigError("solver.mode", "the only legal value is 'warm'")
-    if "output_alphabet" in cfg:
-        raise ConfigError("output_alphabet", "unknown key; the output "
-                          "alphabet is the distortion's")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(cfg.get("seed", 0))
 
@@ -204,11 +209,8 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
 
     if command == "info":
         source, dist = _problem(cfg)
-        kernel = _kernel_from_config(cfg)
-        if isinstance(kernel, CausalKernelChain):
-            kernel = kernel.to_general()
-        report = check_causality_equivalence(source, kernel,
-                              tol=float(cfg.get("tol", 1e-9)))
+        report = check_causality_equivalence(source, _kernel_from_config(cfg),
+                                             tol=float(cfg.get("tol", 1e-9)))
         _write_json(out_dir, "info.json",
                     {"schema": ser.SCHEMA, **asdict(report),
                      "all_hold": report.all_hold})

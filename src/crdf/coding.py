@@ -38,6 +38,8 @@ from .probability import (
 
 EXACT_PAIR_CAP = 10**7
 CODEBOOK_CAP = 2**20
+# compositions per block of the multinomial typicality sum
+MULTINOMIAL_CHUNK = 1 << 16
 
 
 class CodebookTooLarge(ValueError):
@@ -101,7 +103,8 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
 
     The normalized density and distortion depend on the trajectory pair only
     through its per-letter cell counts, so the probabilities reduce to a sum
-    of multinomial weights over compositions of n+1.
+    of multinomial weights over compositions of n+1, taken
+    MULTINOMIAL_CHUNK at a time so that memory stays bounded.
     """
     cells = _letter_cells(spec)
     m = spec.horizon + 1
@@ -111,20 +114,23 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
     info_mean = float(probs @ lams)
     dist_mean = float(probs @ rhos)
     logp = np.log(probs)
-    lg = math.lgamma
-    p_info = p_dist = 0.0
+    lg = np.array([math.lgamma(c + 1) for c in range(m + 1)])
     k = len(cells)
-    for comp in itertools.combinations_with_replacement(range(k), m):
-        counts = np.bincount(comp, minlength=k)
-        logw = lg(m + 1) - sum(lg(c + 1) for c in counts) \
-            + float(counts @ logp)
-        w = math.exp(logw)
-        if abs(float(counts @ lams) / m - info_mean) < spec.epsilon:
-            p_info += w
-        if abs(float(counts @ rhos) / m - dist_mean) < spec.epsilon:
-            p_dist += w
-    return TypicalityResult(p_info=p_info, p_dist=p_dist, method="multinomial",
-                            mean_dist=dist_mean)
+    # stars and bars: the gaps between k-1 bars among m+k-1 slots are counts
+    total = math.comb(m + k - 1, k - 1)
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(m + k - 1), k - 1))
+    p = np.zeros(2)                                   # P(T_eps), P(D_eps)
+    for start in range(0, total, MULTINOMIAL_CHUNK):
+        rows = min(MULTINOMIAL_CHUNK, total - start)
+        pos = np.fromiter(bars, dtype=np.int64, count=rows * (k - 1))
+        counts = np.diff(pos.reshape(rows, k - 1), axis=1, prepend=-1,
+                         append=m + k - 1) - 1
+        w = np.exp(lg[m] - lg[counts].sum(axis=1) + counts @ logp)
+        dev = np.abs(counts @ np.c_[lams, rhos] / m - [info_mean, dist_mean])
+        p += w @ (dev < spec.epsilon)
+    return TypicalityResult(p_info=float(p[0]), p_dist=float(p[1]),
+                            method="multinomial", mean_dist=dist_mean)
 
 
 def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:

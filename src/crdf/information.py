@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .probability import (
     UNREACHABLE_MASS,
-    CausalKernelChain,
-    GeneralKernel,
     JointMeasure,
+    Kernel,
     SourceModel,
-    joint_from_general,
     make_joint,
     validate_causal,
 )
@@ -70,16 +67,6 @@ def directed_information_of_joint(joint: JointMeasure) -> float:
         s = J > ATOM_FLOOR
         total += float(np.sum(J[s] * np.log2(num[s] / den[s])))
     return total
-
-
-def directed_information(source: SourceModel,
-                         kernel: Union[GeneralKernel, CausalKernelChain]) -> float:
-    """I(X^n -> Y^n) = sum_i I(X^i; Y_i | Y^{i-1}) in bits."""
-    if isinstance(kernel, CausalKernelChain):
-        joint = make_joint(source, kernel)
-    else:
-        joint = joint_from_general(source, kernel)
-    return directed_information_of_joint(joint)
 
 
 def _conditional_independence(joint3: np.ndarray, tol: float) -> bool:
@@ -138,14 +125,14 @@ class InfoReport:
                 and self.info_equal and self.markov_feedback_free)
 
 
-def check_causality_equivalence(source: SourceModel, kernel: GeneralKernel,
-                 tol: float = 1e-9) -> InfoReport:
+def check_causality_equivalence(source: SourceModel, kernel: Kernel,
+                                tol: float = 1e-9) -> InfoReport:
     """Evaluate the four equivalent causality statements for a kernel.
 
     For a kernel assembled from a causal chain all four must hold; for an
     anticausal kernel they all fail together (up to ``tol``).
     """
-    joint = joint_from_general(source, kernel)
+    joint = make_joint(source, kernel)
     mi = mutual_information(joint)
     di = directed_information_of_joint(joint)
     return InfoReport(

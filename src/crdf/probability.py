@@ -4,8 +4,8 @@ Probability vectors, conditional kernels, causal kernel chains, source models,
 and the three measure constructions used throughout the package:
 
 * joint measure      P(x^n, y^n) = mu(x^n) * prod_i q_i(y_i | y^{i-1}, x^i)
-* output marginal    nu(y^n)     = sum_{x^n} P(x^n, y^n), with chain-rule
-                     conditionals nu_i(y_i | y^{i-1})
+* output marginal    nu(y^n)     = sum_{x^n} P(x^n, y^n), whose chain-rule
+                     conditionals nu_i(y_i | y^{i-1}) are read from it
 * product measure    pi(x^n, y^n) = mu(x^n) * nu(y^n)
 
 All types are immutable after construction and all operations are pure, so
@@ -165,10 +165,6 @@ class CausalKernelChain:
         return ix.stage_product([self.stage(i) for i in range(n + 1)],
                                 self.nx, self.ny, n)
 
-    def to_general(self) -> "GeneralKernel":
-        return GeneralKernel(nx=self.nx, ny=self.ny, horizon=self.horizon,
-                             table=self.conditional_matrix())
-
 
 @dataclass(frozen=True)
 class GeneralKernel:
@@ -186,6 +182,14 @@ class GeneralKernel:
             raise ShapeError(f"kernel table shape {t.shape}, expected {want}")
         _check_rows_stochastic(t, "general kernel")
         object.__setattr__(self, "table", t)
+
+    def conditional_matrix(self) -> np.ndarray:
+        """The table K[x^n, y^n], shape (Nx, Ny)."""
+        return self.table
+
+
+# either kind of kernel; its consumers read it through conditional_matrix()
+Kernel = CausalKernelChain | GeneralKernel
 
 
 @dataclass(frozen=True)
@@ -298,25 +302,24 @@ class JointMeasure:
 
 @dataclass(frozen=True)
 class OutputProcess:
-    """Reproduction-process law nu(y^n) with chain-rule conditionals.
-
-    ``joint`` is the pmf over Y^{0..n}; ``conditionals[i]`` has shape
-    (ny**i, ny) giving nu_i(y_i | y^{i-1}), and rows whose conditioning
-    prefix has no mass hold a uniform placeholder.
-    """
+    """Reproduction-process law nu(y^n): ``joint`` is its pmf over Y^{0..n}."""
 
     ny: int
     horizon: int
     joint: np.ndarray
-    conditionals: tuple
 
     def __post_init__(self):
         j = FinitePmf(self.joint).weights
         if j.shape[0] != self.ny ** (self.horizon + 1):
             raise ShapeError("output joint has wrong length")
         object.__setattr__(self, "joint", j)
-        conds = tuple(_frozen_array(c) for c in self.conditionals)
-        object.__setattr__(self, "conditionals", conds)
+
+    @property
+    def conditionals(self) -> tuple:
+        """``conditionals[i]`` has shape (ny**i, ny) and gives
+        nu_i(y_i | y^{i-1}); rows whose prefix has no mass are uniform."""
+        return tuple(_chain_rule_conditionals(self.joint, self.ny,
+                                              self.horizon))
 
     @classmethod
     def memoryless(cls, letter, horizon: int):
@@ -324,35 +327,20 @@ class OutputProcess:
         w = FinitePmf(letter).weights
         ny = w.shape[0]
         lets = ix.to_letters(ix.all_indices(ny, horizon + 1), ny, horizon + 1)
-        joint = w[lets].prod(axis=1)
-        return cls(ny=ny, horizon=horizon, joint=joint,
-                   conditionals=tuple(
-                       _chain_rule_conditionals(joint, ny, horizon)))
+        return cls(ny=ny, horizon=horizon, joint=w[lets].prod(axis=1))
 
 
 # ---------------------------------------------------------------------------
 # Measure constructions
 # ---------------------------------------------------------------------------
 
-def make_joint(source: SourceModel, chain: CausalKernelChain) -> JointMeasure:
-    """Joint measure P = mu (x) q of a source and a causal chain."""
-    if source.horizon != chain.horizon:
-        raise ShapeError("source and chain horizons differ")
-    if source.alphabet != chain.nx:
-        raise ShapeError("source and chain X-alphabets differ")
-    mu = source.joint_pmf()
-    K = chain.conditional_matrix()
-    return JointMeasure(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
-                        pmf=mu[:, None] * K)
-
-
-def joint_from_general(source: SourceModel, kernel: GeneralKernel) -> JointMeasure:
-    """Joint measure of a source and an unrestricted kernel."""
+def make_joint(source: SourceModel, kernel: Kernel) -> JointMeasure:
+    """Joint measure P = mu (x) q of a source and a causal or general kernel."""
     if source.horizon != kernel.horizon or source.alphabet != kernel.nx:
         raise ShapeError("source and kernel shapes differ")
     mu = source.joint_pmf()
     return JointMeasure(nx=kernel.nx, ny=kernel.ny, horizon=kernel.horizon,
-                        pmf=mu[:, None] * kernel.table)
+                        pmf=mu[:, None] * kernel.conditional_matrix())
 
 
 def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
@@ -361,29 +349,22 @@ def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
     Row y^{i-1} of the i-th table is uniform where the prefix carries at
     most UNREACHABLE_MASS.
     """
-    # prefix masses m_k over length-k prefixes, k = 0..n+1
-    masses = [nu]
-    for k in range(n, -1, -1):
-        masses.append(masses[-1].reshape(ny**k, ny).sum(axis=1))
-    masses.reverse()  # masses[k] = mass of length-k prefixes
     conditionals = []
-    for i in range(n + 1):
-        parent = masses[i]
-        child = masses[i + 1].reshape(ny**i, ny)
-        dead = parent <= UNREACHABLE_MASS
-        rows = child / np.where(dead, 1.0, parent)[:, None]
-        rows[dead] = 1.0 / ny
-        conditionals.append(rows)
+    child = nu
+    for i in range(n, -1, -1):
+        child = child.reshape(ny**i, ny)
+        parent = child.sum(axis=1)
+        conditionals.insert(0, np.divide(
+            child, parent[:, None], out=np.full(child.shape, 1.0 / ny),
+            where=parent[:, None] > UNREACHABLE_MASS))
+        child = parent
     return conditionals
 
 
 def output_marginal(joint: JointMeasure) -> OutputProcess:
-    """Marginal nu(y^n) with chain-rule conditionals nu_i(y_i | y^{i-1})."""
-    n, ny = joint.horizon, joint.ny
-    nu = joint.y_marginal()
-    conditionals = _chain_rule_conditionals(nu, ny, n)
-    return OutputProcess(ny=ny, horizon=n, joint=nu,
-                         conditionals=tuple(conditionals))
+    """Marginal nu(y^n) of a joint measure."""
+    return OutputProcess(ny=joint.ny, horizon=joint.horizon,
+                         joint=joint.y_marginal())
 
 
 def product_measure(source: SourceModel, output: OutputProcess) -> JointMeasure:
@@ -414,7 +395,7 @@ class CausalityCheck:
         return self.ok
 
 
-def validate_causal(kernel: GeneralKernel, source: SourceModel,
+def validate_causal(kernel: Kernel, source: SourceModel,
                     tol: float = 1e-9) -> CausalityCheck:
     """Check that the conditional law of Y_i given (x^i, y^{i-1}) does not
     depend on future source letters x_{i+1..n}, on the source's support.
@@ -422,13 +403,11 @@ def validate_causal(kernel: GeneralKernel, source: SourceModel,
     Returns a truthy :class:`CausalityCheck`; on failure the witness carries
     the first violating stage and histories and the max deviation found there.
     """
-    if isinstance(kernel, CausalKernelChain):
-        kernel = kernel.to_general()
     if source.horizon != kernel.horizon or source.alphabet != kernel.nx:
         raise ShapeError("source and kernel shapes differ")
     n, nx, ny = kernel.horizon, kernel.nx, kernel.ny
     mu = source.joint_pmf()
-    q = kernel.table
+    q = kernel.conditional_matrix()
     for i in range(n):
         # group x^n by (x^{i+1}-prefix, suffix); y^n by (y^i-prefix, rest)
         ahead_x = nx ** (n - i)

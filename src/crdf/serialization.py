@@ -1,5 +1,5 @@
-"""JSON readers for sources and distortions; JSON round-tripping for
-kernels and output processes; writers for results.
+"""JSON readers for sources, distortions and general kernels; JSON
+round-tripping for chains and output processes; writers for results.
 
 Schema (versioned via the "schema" field, currently "crdf-v1"):
 
@@ -32,10 +32,8 @@ from .probability import (
     CausalKernelChain,
     FinitePmf,
     GeneralKernel,
-    JointMeasure,
     OutputProcess,
     SourceModel,
-    output_marginal,
 )
 from .solver import RateDistortionPoint, RDCurve
 
@@ -133,11 +131,6 @@ def chain_from_dict(d: dict, where: str = "chain") -> CausalKernelChain:
     raise ConfigError(f"{where}.kind", f"unknown chain kind {kind!r}")
 
 
-def general_kernel_to_dict(kernel: GeneralKernel) -> dict:
-    return {"schema": SCHEMA, "nx": kernel.nx, "ny": kernel.ny,
-            "horizon": kernel.horizon, "table": kernel.table.tolist()}
-
-
 def general_kernel_from_dict(d: dict, where: str = "kernel") -> GeneralKernel:
     try:
         return GeneralKernel(
@@ -162,12 +155,9 @@ def output_from_dict(d: dict, where: str = "output") -> OutputProcess:
             np.array(_require(d, "letter", where), float),
             int(_require(d, "horizon", where)))
     if kind == "explicit":
-        joint = np.array(_require(d, "joint", where), float)
-        ny = int(_require(d, "ny", where))
-        horizon = int(_require(d, "horizon", where))
-        # rebuild conditionals by marginalizing a dummy X of size 1
-        jm = JointMeasure(nx=1, ny=ny, horizon=horizon, pmf=joint[None, :])
-        return output_marginal(jm)
+        return OutputProcess(ny=int(_require(d, "ny", where)),
+                             horizon=int(_require(d, "horizon", where)),
+                             joint=np.array(_require(d, "joint", where), float))
     raise ConfigError(f"{where}.kind", f"unknown output kind {kind!r}")
 
 
@@ -184,8 +174,6 @@ def point_to_dict(point: RateDistortionPoint) -> dict:
     }
     if point.chain is not None:
         out["chain"] = chain_to_dict(point.chain)
-    if point.kernel is not None:
-        out["kernel"] = general_kernel_to_dict(point.kernel)
     if point.output is not None:
         out["output"] = output_to_dict(point.output)
     return out

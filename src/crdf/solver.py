@@ -58,12 +58,13 @@ from .information import (
 from .probability import (
     CausalKernelChain,
     FinitePmf,
-    GeneralKernel,
     JointMeasure,
+    Kernel,
     OutputProcess,
     ShapeError,
     SourceModel,
     _chain_rule_conditionals,
+    make_joint,
     output_marginal,
 )
 
@@ -103,7 +104,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RateDistortionPoint:
-    """One Lagrangian solution: multiplier, achieved (D, R), and the kernel."""
+    """One Lagrangian solution: multiplier and achieved (D, R); a causal
+    solve also carries its chain and output law."""
 
     s: float
     distortion: float
@@ -114,7 +116,6 @@ class RateDistortionPoint:
     residual: float = math.nan
     chain: Optional[CausalKernelChain] = None
     output: Optional[OutputProcess] = None
-    kernel: Optional[GeneralKernel] = None
 
     def lagrangian(self) -> float:
         """R - s*log2(e)*D in bits; the sD constant of the dual is dropped."""
@@ -235,13 +236,11 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         nu = _chain_rule_conditionals(pmf.sum(axis=0), ny, n)
         q_prev = q
 
-    joint = JointMeasure(nx=nx, ny=ny, horizon=n,
-                         pmf=ws.mu[:, None] * ix.stage_product(q, nx, ny, n))
+    chain = CausalKernelChain.from_stages(q, nx, ny)
+    joint = make_joint(source, chain)
     output = output_marginal(joint)
     q_next, V0 = ws.tilt(output.conditionals)
     residual = _max_step(q_next, q)
-
-    chain = CausalKernelChain.from_stages(q, nx, ny)
     d_norm = average_distortion(joint, dist)
     rate = directed_information_of_joint(joint) / (n + 1)
     # the stage sum telescopes: -E[log2 Z_0] is the minimized Lagrangian
@@ -317,7 +316,6 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     q_next /= q_next.sum(axis=1, keepdims=True)
     residual = float(np.max(np.abs(q_next - q)))
 
-    kernel = GeneralKernel(nx=nx, ny=ny, horizon=n, table=q)
     joint = JointMeasure(nx=nx, ny=ny, horizon=n, pmf=mu[:, None] * q)
     d_norm = average_distortion(joint, dist)
     rate = mutual_information(joint) / (n + 1)
@@ -326,26 +324,17 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     formula = s * LOG2E * d_norm - float(mu @ log2_z) / (n + 1)
     return RateDistortionPoint(
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
-        iterations=iterations, converged=converged, residual=residual,
-        kernel=kernel, output=output_marginal(joint))
+        iterations=iterations, converged=converged, residual=residual)
 
 
-def _conditional_matrix(kernel) -> np.ndarray:
-    if isinstance(kernel, CausalKernelChain):
-        return kernel.conditional_matrix()
-    if isinstance(kernel, GeneralKernel):
-        return kernel.table
-    raise TypeError("expected a CausalKernelChain or GeneralKernel")
-
-
-def gateaux_derivative(source: SourceModel, q0, q1) -> float:
+def gateaux_derivative(source: SourceModel, q0: Kernel, q1: Kernel) -> float:
     """Directional derivative of the information functional at q0 toward q1.
 
     Evaluates sum_{x,y} mu(x) (q1 - q0)(y|x) log2(q0(y|x) / nu0(y)) exactly;
     q0 must be strictly positive on every row the source reaches.
     """
-    K0 = _conditional_matrix(q0)
-    K1 = _conditional_matrix(q1)
+    K0 = q0.conditional_matrix()
+    K1 = q1.conditional_matrix()
     if K0.shape != K1.shape:
         raise ShapeError("q0 and q1 have different shapes")
     mu = source.joint_pmf()

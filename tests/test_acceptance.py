@@ -35,7 +35,6 @@ from crdf import (
     classical_ba,
     compare,
     d_max_min_sequence,
-    directed_information,
     gateaux_derivative,
     make_joint,
     mutual_information,
@@ -48,7 +47,6 @@ from crdf import (
 )
 from crdf.cli import main as cli_main
 from crdf.information import directed_information_of_joint
-from crdf.probability import joint_from_general
 from crdf.sampling import (
     anticausal_swap_kernel,
     random_chain,
@@ -132,7 +130,7 @@ class TestCriterion2:
             nx = int(rng.integers(2, 4))
             src = random_iid_source(rng, nx, 1)
             ker = anticausal_swap_kernel(rng, nx)
-            jm = joint_from_general(src, ker)
+            jm = make_joint(src, ker)
             anticausal_ok &= (directed_information_of_joint(jm)
                               < mutual_information(jm))
             anticausal_ok &= not bool(validate_causal(ker, src))
@@ -173,12 +171,12 @@ class TestCriterion4:
             q0 = random_chain(rng, nx, ny, n, floor=0.2)
             q1 = random_chain(rng, nx, ny, n, floor=0.2)
             g = gateaux_derivative(src, q0, q1)
-            t0, t1 = q0.to_general().table, q1.to_general().table
+            t0, t1 = q0.conditional_matrix(), q1.conditional_matrix()
 
             def mi(lmb):
                 t = (1 - lmb) * t0 + lmb * t1
                 k = GeneralKernel(nx=nx, ny=ny, horizon=n, table=t)
-                return mutual_information(joint_from_general(src, k))
+                return mutual_information(make_joint(src, k))
 
             fd = (mi(eps) - mi(-eps)) / (2 * eps)
             worst = max(worst, abs(g - fd))

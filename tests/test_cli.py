@@ -224,6 +224,20 @@ class TestValidation:
         assert run("solve", cfg, tmp_path) == 2
         assert f"solver.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra, key", [
+        ("solve", {"seeed": 3}, "seeed"),
+        ("oracle", {"oracle": {"budjet": 5}}, "oracle.budjet"),
+        ("simulate", {"sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1,
+                              "trails": 5}}, "sim.trails"),
+    ])
+    def test_unknown_key_names_the_key(self, tmp_path, capsys, command, extra,
+                                       key):
+        # a misspelt key used to run silently with its default
+        cfg = write_config(tmp_path, {"solver": {"s": -1.0}, **extra})
+        assert run(command, cfg, tmp_path) == 2
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("command", ["solve", "dmax"])
     def test_solver_block_must_be_an_object(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, {"solver": []})

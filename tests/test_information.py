@@ -9,12 +9,10 @@ from crdf import (
     FinitePmf,
     SourceModel,
     check_causality_equivalence,
-    directed_information,
     make_joint,
     mutual_information,
 )
 from crdf.information import directed_information_of_joint
-from crdf.probability import joint_from_general
 from crdf.sampling import (
     anticausal_swap_kernel,
     random_chain,
@@ -47,9 +45,11 @@ class TestMutualAndDirected:
     def test_memoryless_directed_information_tensorizes(self):
         W = np.array([[0.8, 0.2], [0.3, 0.7]])
         src1 = SourceModel.iid(FinitePmf([0.4, 0.6]), 0)
-        one = directed_information(src1, CausalKernelChain.memoryless(W, 0))
+        one = directed_information_of_joint(
+            make_joint(src1, CausalKernelChain.memoryless(W, 0)))
         src4 = SourceModel.iid(FinitePmf([0.4, 0.6]), 3)
-        four = directed_information(src4, CausalKernelChain.memoryless(W, 3))
+        four = directed_information_of_joint(
+            make_joint(src4, CausalKernelChain.memoryless(W, 3)))
         assert four == pytest.approx(4 * one, abs=1e-10)
 
     @given(rngs)
@@ -70,7 +70,7 @@ class TestMutualAndDirected:
         rng = np.random.default_rng(7)
         src = random_iid_source(rng, 2, 1)
         ker = anticausal_swap_kernel(rng, 2)
-        jm = joint_from_general(src, ker)
+        jm = make_joint(src, ker)
         assert directed_information_of_joint(jm) < mutual_information(jm) - 1e-6
 
 
@@ -79,7 +79,7 @@ class TestCausalityEquivalenceReport:
         rng = np.random.default_rng(31)
         src = random_markov_source(rng, 2, 2)
         chain = random_chain(rng, 2, 2, 2)
-        rep = check_causality_equivalence(src, chain.to_general())
+        rep = check_causality_equivalence(src, chain)
         assert rep.all_hold
         assert rep.causal_factorization
         assert rep.markov_output_nonanticipative and rep.markov_feedback_free

@@ -10,6 +10,8 @@ from crdf import (
     OutputProcess,
     ShapeError,
     SourceModel,
+    check_causality_equivalence,
+    gateaux_derivative,
     make_joint,
     output_marginal,
     product_measure,
@@ -17,7 +19,6 @@ from crdf import (
     validate_causal,
 )
 from crdf import indexing as ix
-from crdf.probability import joint_from_general
 from crdf.sampling import (
     anticausal_swap_kernel,
     random_chain,
@@ -93,13 +94,6 @@ class TestCausalKernelChain:
     def test_stage_shape_validation(self):
         with pytest.raises((ValueError, ShapeError)):
             CausalKernelChain.from_stages([np.ones((1, 2, 2))], 2, 2)
-
-    def test_to_general_roundtrip(self):
-        rng = np.random.default_rng(9)
-        chain = random_chain(rng, 2, 2, 2)
-        gen = chain.to_general()
-        assert isinstance(gen, GeneralKernel)
-        assert np.allclose(gen.table, chain.conditional_matrix())
 
 
 class TestChainSampler:
@@ -193,7 +187,7 @@ class TestValidateCausal:
         n = int(rng.integers(0, 3))
         src = random_iid_source(rng, 2, n)
         chain = random_chain(rng, 2, 2, n)
-        check = validate_causal(chain.to_general(), src)
+        check = validate_causal(chain, src)
         assert bool(check)
 
     def test_anticausal_kernel_is_flagged_with_witness(self):
@@ -210,12 +204,34 @@ class TestValidateCausal:
         rng = np.random.default_rng(3)
         chain = random_chain(rng, 2, 2, 1)
         with pytest.raises(ShapeError):
-            validate_causal(chain.to_general(), src)
+            validate_causal(chain, src)
 
-    def test_joint_from_general_matches_chain_path(self):
+
+def _general(chain):
+    return GeneralKernel(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
+                         table=chain.conditional_matrix())
+
+
+class TestKernelParity:
+    """Every kernel consumer reads the (Nx, Ny) matrix through
+    conditional_matrix(), so a chain and the general kernel of its table
+    give identical results."""
+
+    @pytest.mark.parametrize("call", [
+        lambda src, q0, q1: make_joint(src, q0).pmf,
+        lambda src, q0, q1: validate_causal(q0, src),
+        lambda src, q0, q1: check_causality_equivalence(src, q0),
+        lambda src, q0, q1: gateaux_derivative(src, q0, q1),
+    ], ids=["make_joint", "validate_causal", "check_causality_equivalence",
+            "gateaux_derivative"])
+    def test_chain_and_general_kernel_agree(self, call):
         rng = np.random.default_rng(29)
-        src = random_iid_source(rng, 2, 1)
-        chain = random_chain(rng, 2, 2, 1)
-        a = make_joint(src, chain).pmf
-        b = joint_from_general(src, chain.to_general()).pmf
-        assert np.allclose(a, b, atol=1e-14)
+        src = random_markov_source(rng, 2, 2)
+        q0 = random_chain(rng, 2, 3, 2, floor=0.05)
+        q1 = random_chain(rng, 2, 3, 2)
+        a = call(src, q0, q1)
+        b = call(src, _general(q0), _general(q1))
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+        else:
+            assert a == b

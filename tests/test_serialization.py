@@ -21,7 +21,6 @@ from crdf.serialization import (
     curve_to_csv,
     distortion_from_dict,
     general_kernel_from_dict,
-    general_kernel_to_dict,
     output_from_dict,
     output_to_dict,
     point_to_dict,
@@ -117,10 +116,12 @@ class TestKernelRoundTrip:
                            chain.conditional_matrix(), atol=1e-15)
 
     def test_general_kernel(self):
-        rng = np.random.default_rng(6)
-        gen = random_chain(rng, 2, 2, 1).to_general()
-        back = general_kernel_from_dict(general_kernel_to_dict(gen))
-        assert np.allclose(back.table, gen.table, atol=1e-15)
+        table = [[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7],
+                 [0.25, 0.25, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]]
+        back = general_kernel_from_dict({"nx": 2, "ny": 2, "horizon": 1,
+                                         "table": table})
+        assert (back.nx, back.ny, back.horizon) == (2, 2, 1)
+        assert np.array_equal(back.conditional_matrix(), table)
 
     def test_unknown_chain_kind(self):
         with pytest.raises(ConfigError):
@@ -142,6 +143,12 @@ class TestOutputRoundTrip:
         p = solve_fixed_s(src, DistortionModel.hamming(2, 1), -1.0)
         back = output_from_dict(output_to_dict(p.output))
         assert np.allclose(back.joint, p.output.joint, atol=1e-12)
+
+    def test_explicit_dead_prefix_rows_are_uniform(self):
+        back = output_from_dict({"kind": "explicit", "ny": 2, "horizon": 1,
+                                 "joint": [0.0, 0.0, 0.3, 0.7]})
+        assert np.array_equal(back.conditionals[0], [[0.0, 1.0]])
+        assert np.array_equal(back.conditionals[1], [[0.5, 0.5], [0.3, 0.7]])
 
 
 class TestResults:

@@ -310,7 +310,7 @@ class TestGateaux:
         assert gateaux_derivative(src, q0, q0) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_finite_difference(self):
-        from crdf.probability import GeneralKernel, joint_from_general
+        from crdf.probability import GeneralKernel, make_joint
         from crdf import mutual_information
         rng = np.random.default_rng(4)
         src = SourceModel.iid(FinitePmf([0.45, 0.55]), 1)
@@ -318,12 +318,12 @@ class TestGateaux:
         q1 = random_chain(rng, 2, 2, 1)
         g = gateaux_derivative(src, q0, q1)
         eps = 1e-5
-        t0, t1 = q0.to_general().table, q1.to_general().table
+        t0, t1 = q0.conditional_matrix(), q1.conditional_matrix()
 
         def mi(lmb):
             t = (1 - lmb) * t0 + lmb * t1
             k = GeneralKernel(nx=2, ny=2, horizon=1, table=t)
-            return mutual_information(joint_from_general(src, k))
+            return mutual_information(make_joint(src, k))
 
         fd = (mi(eps) - mi(-eps)) / (2 * eps)
         assert g == pytest.approx(fd, abs=1e-6)
