@@ -4,9 +4,9 @@ Commands: solve, sweep, properties, oracle, simulate, dmax, info.  The config
 is a JSON document with a versioned "schema" field; all randomness flows from
 its single "seed".  Sweeps run sequentially, each solve warm-started from the
 last; "solver.mode" is still read, and "warm" is its only legal value.
-Results are written as CSV (curve) and JSON (everything else) under the
-output directory.  Exit status: 0 on success, 1 when a properties/oracle
-check fails, 2 on validation errors.
+Results are written as CSV (curve) and compact, key-sorted JSON (everything
+else) under the output directory.  Exit status: 0 on success, 1 when a
+properties/oracle check fails, 2 on validation errors.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .oracle import brute_force_lagrangian, compare
 from .probability import CausalKernelChain
 from .serialization import ConfigError
 from .solver import (
+    RDCurve,
     SolverOptions,
     default_s_grid,
     properties_report,
@@ -40,6 +41,8 @@ CONFIG_KEYS = {None: ("schema", "seed", "source", "distortion", "solver",
                "solver": ("s", "s_grid", "tol", "max_iters", "mode"),
                "oracle": ("method", "budget", "tol"),
                "sim": ("rate", "trials", "epsilon", "target_d")}
+# blocks that serialization reads: it checks their keys, not their type
+MODEL_BLOCKS = ("source", "distortion", "kernel", "output")
 
 
 def _load_config(path: str) -> dict:
@@ -50,6 +53,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "must be a JSON object")
     schema = cfg.get("schema")
     if schema != CONFIG_SCHEMA:
         raise ConfigError("schema", f"expected {CONFIG_SCHEMA!r}, got {schema!r}")
@@ -110,12 +115,22 @@ def _s_grid(cfg: dict) -> list:
     return grid
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
-    path = out_dir / name
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _write_json(out_dir: Path, name: str, payload: dict) -> None:
+    """Compact JSON with sorted keys, in one call to the C encoder."""
+    (out_dir / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _write_kernels(out_dir: Path, curve: RDCurve) -> None:
+    """kernels.json, one point at a time, so that only one point's lists
+    exist at once; the bytes equal those of _write_json on the whole payload,
+    whose sorted keys are d_max, points, schema."""
+    with open(out_dir / "kernels.json", "w") as fh:
+        fh.write(f'{{"d_max": {json.dumps(curve.d_max_reported)}, "points": [')
+        for k, point in enumerate(curve.points):
+            if k:
+                fh.write(", ")
+            fh.write(json.dumps(ser.point_to_dict(point), sort_keys=True))
+        fh.write(f'], "schema": {json.dumps(ser.SCHEMA)}}}\n')
 
 
 # ``threads`` is unused; perfbench/workloads.py still passes it
@@ -129,6 +144,9 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
             if key not in legal:
                 raise ConfigError(key if block is None else f"{block}.{key}",
                                   "unknown key")
+    for block in MODEL_BLOCKS:
+        if not isinstance(cfg.get(block, {}), dict):
+            raise ConfigError(block, "must be a JSON object")
     if cfg.get("solver", {}).get("mode", "warm") != "warm":
         raise ConfigError("solver.mode", "the only legal value is 'warm'")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,10 +164,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg))
         if command == "sweep":
             (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
-            kernels = {"schema": ser.SCHEMA,
-                       "d_max": curve.d_max_reported,
-                       "points": [ser.point_to_dict(p) for p in curve.points]}
-            _write_json(out_dir, "kernels.json", kernels)
+            _write_kernels(out_dir, curve)
             return 0
         report = properties_report(curve, source, dist)
         _write_json(out_dir, "properties.json",

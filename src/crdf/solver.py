@@ -11,9 +11,11 @@ optimal causal chain is the backward-recursive exponential tilt
 computed stage by stage from i = n down to 0.  G_i is the expected
 cost-to-go of the later stages; for iid sources it does not depend on y_i
 and the kernel reduces to the stage-wise tilt.  The solver alternates this
-kernel update with the output-marginal update until the kernel stops moving,
-sweeps s to trace the rate-distortion curve, and cross-checks the telescoped
-closed-form rate
+kernel update with the output-marginal update until the kernel stops moving;
+the output law nu(y^n) comes from a forward pass that carries
+P(y^{i-1}, x^i) through the stages, so no iteration forms the (Nx, Ny)
+joint.  It sweeps s to trace the rate-distortion curve, and cross-checks the
+telescoped closed-form rate
 
     R = s*D*log2(e) - E_mu[ log2 Z_0(X_0) ] / (n+1)
 
@@ -42,7 +44,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import indexing as ix
 from .distortion import (
     DistortionModel,
     _zero_rate_index,
@@ -146,7 +147,7 @@ class _Workspace:
             raise ShapeError("source and distortion horizons differ")
         n, nx, ny = source.horizon, source.alphabet, dist.ny
         self.n, self.nx, self.ny = n, nx, ny
-        self.mu = source.joint_pmf()
+        mu = source.joint_pmf()
         # tilt tables exp(s*(rho_i - min_{y_i} rho_i)) laid out as
         # (y^{i-1}, x^i, y_i); the shift keeps exp from underflowing to 0 and
         # s*min goes back into V_i, where it is the factor dropped from Z_i
@@ -158,7 +159,7 @@ class _Workspace:
             self.exp_cost.append(np.exp(s * (rho - low[:, :, None])))
             self.cost_shift.append(s * low)
         # source prefix marginals mu(x^i) and transitions mu(x_{i+1} | x^i)
-        prefix = [self.mu.reshape(nx ** (i + 1), -1).sum(axis=1)
+        prefix = [mu.reshape(nx ** (i + 1), -1).sum(axis=1)
                   for i in range(n + 1)]
         self.mu0 = prefix[0]
         self.mu_next = []
@@ -194,6 +195,23 @@ class _Workspace:
                 V = V.reshape(ny ** (i - 1), ny, nx**i, nx)
                 G = (V * self.mu_next[i - 1]).sum(axis=3).transpose(0, 2, 1)
         return stages, V
+
+    def output_law(self, stages) -> np.ndarray:
+        """Output marginal nu(y^n) of the source through a stage chain.
+
+        A forward pass that carries P(y^{i-1}, x^i), laid out as the stage
+        tables' first two axes, from stage 0 up; it never forms the
+        (Nx, Ny) joint.
+        """
+        nx, ny, n = self.nx, self.ny, self.n
+        a = self.mu0[None, :]
+        for i in range(n):
+            # P(y^{i-1}, x^i, y_i) reordered to (y^i, x^i), then times
+            # mu(x_{i+1} | x^i) gives P(y^i, x^{i+1})
+            b = (a[:, :, None] * stages[i]).transpose(0, 2, 1)
+            a = (b.reshape(ny ** (i + 1), nx ** (i + 1))[:, :, None]
+                 * self.mu_next[i]).reshape(ny ** (i + 1), nx ** (i + 2))
+        return (a[:, None, :] @ stages[n]).reshape(-1)
 
 
 def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
@@ -232,8 +250,7 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         if q_prev is not None and _max_step(q, q_prev) < opts.tol:
             converged = True
             break
-        pmf = ws.mu[:, None] * ix.stage_product(q, nx, ny, n)
-        nu = _chain_rule_conditionals(pmf.sum(axis=0), ny, n)
+        nu = _chain_rule_conditionals(ws.output_law(q), ny, n)
         q_prev = q
 
     chain = CausalKernelChain.from_stages(q, nx, ny)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crdf.cli import main
+from crdf.serialization import chain_from_dict, output_from_dict
 
 BASE = {
     "schema": "crdf-config-v1",
@@ -93,6 +94,33 @@ class TestSweepAndProperties:
         for name in ("curve.csv", "kernels.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+class TestKernelsFile:
+    GRID = [-3.0, -1.0, -0.3, 0.0]
+    MARKOV = {"source": {"kind": "markov", "horizon": 2,
+                         "initial": [0.5, 0.5],
+                         "transition": [[0.8, 0.2], [0.3, 0.7]]},
+              "distortion": {"kind": "single_letter", "horizon": 2,
+                             "costs": [[0.0, 1.0, 0.4], [1.0, 0.0, 0.4]]},
+              "solver": {"s_grid": GRID}}
+
+    def test_compact_sorted_json_that_reads_back(self, tmp_path):
+        cfg = write_config(tmp_path, self.MARKOV)
+        assert run("sweep", cfg, tmp_path / "a") == 0
+        text = (tmp_path / "a" / "kernels.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        kernels = json.loads(text)
+        assert [p["s"] for p in kernels["points"]] == sorted(self.GRID,
+                                                             reverse=True)
+        for p in kernels["points"]:
+            chain = chain_from_dict(p["chain"])
+            output = output_from_dict(p["output"])
+            assert (chain.nx, chain.ny, chain.horizon) == (2, 3, 2)
+            assert output.joint.shape == (27,)
+        assert run("sweep", cfg, tmp_path / "b") == 0
+        assert ((tmp_path / "b" / "kernels.json").read_bytes()
+                == text.encode())
 
 
 class TestOracle:
@@ -243,6 +271,23 @@ class TestValidation:
         cfg = write_config(tmp_path, {"solver": []})
         assert run(command, cfg, tmp_path) == 2
         assert "solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("solve", [], "config"),
+        ("info", {**BASE, "kernel": []}, "kernel"),
+        ("solve", {**BASE, "source": 3, "solver": {"s": -1.0}}, "source"),
+        ("solve", {**BASE, "distortion": [], "solver": {"s": -1.0}},
+         "distortion"),
+        ("dmax", {**BASE, "output": 3}, "output"),
+    ])
+    def test_non_object_names_the_field(self, tmp_path, capsys, command,
+                                        config, field):
+        # each used to end in an AttributeError or TypeError traceback
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run(command, str(tmp_path / "config.json"), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}: must be a JSON object" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("ny", [1, 2, 3])
     def test_output_alphabet_key_rejected(self, tmp_path, capsys, ny):

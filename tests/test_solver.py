@@ -25,7 +25,9 @@ from crdf import (
     SolverOptions,
 )
 from crdf.information import LOG2E
-from crdf.sampling import random_chain
+from crdf.probability import output_marginal
+from crdf.sampling import random_chain, random_markov_source, random_pmf
+from crdf.solver import _Workspace
 
 UNIFORM2 = FinitePmf.uniform(2)
 
@@ -148,6 +150,39 @@ class TestSolveFixedS:
         src = SourceModel.markov(FinitePmf([0.5, 0.5]), T, 2)
         p = solve_fixed_s(src, DistortionModel.hamming(2, 2), -1.0)
         assert bool(validate_causal(p.chain, src))
+
+
+def _source(kind, rng, nx, n):
+    if kind == "iid":
+        return SourceModel.iid(random_pmf(rng, nx), n)
+    if kind == "markov":
+        return random_markov_source(rng, nx, n)
+    w = rng.dirichlet(np.ones(nx ** (n + 1)))
+    if kind == "explicit-dead-prefixes" and n > 0:
+        # no mass on x_0 = 0 nor on x^1 = (1, 1): mu_next divides by zero
+        # there and takes its safe branch
+        w[:nx ** n] = 0.0
+        w[(nx + 1) * nx ** (n - 1):(nx + 2) * nx ** (n - 1)] = 0.0
+        w /= w.sum()
+    return SourceModel.explicit(w, nx, n)
+
+
+class TestOutputLawForwardPass:
+    """The solver's forward pass gives the output marginal of make_joint."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    @pytest.mark.parametrize("nx, ny", [(3, 2), (2, 3), (2, 2)])
+    @pytest.mark.parametrize(
+        "kind", ["iid", "markov", "explicit", "explicit-dead-prefixes"])
+    def test_matches_make_joint_marginal(self, kind, nx, ny, n):
+        rng = np.random.default_rng(1000 * n + 10 * nx + ny)
+        src = _source(kind, rng, nx, n)
+        chain = random_chain(rng, nx, ny, n)
+        ws = _Workspace(src, DistortionModel.hamming(nx, n, ny=ny), -1.0)
+        nu = ws.output_law(chain.stages)
+        expected = output_marginal(make_joint(src, chain)).joint
+        assert nu.shape == expected.shape
+        assert np.max(np.abs(nu - expected)) <= 1e-15
 
 
 class TestSweep:
