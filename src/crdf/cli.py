@@ -21,7 +21,7 @@ from .coding import simulate
 from .distortion import d_max_min_sequence, d_max_product
 from .information import check_causality_equivalence
 from .oracle import brute_force_lagrangian, compare
-from .probability import CausalKernelChain
+from .probability import CausalKernelChain, ShapeError
 from .serialization import ConfigError
 from .solver import (
     RDCurve,
@@ -74,9 +74,10 @@ def _problem(cfg: dict):
     source = ser.source_from_dict(_need(cfg, "source"))
     dist = ser.distortion_from_dict(_need(cfg, "distortion"),
                                     nx=source.alphabet)
-    if source.horizon != dist.horizon:
-        raise ConfigError("distortion.horizon",
-                          "does not match source.horizon")
+    try:
+        dist.check_source(source)
+    except ShapeError as exc:
+        raise ConfigError("distortion", str(exc)) from exc
     return source, dist
 
 
@@ -166,7 +167,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
             (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
             _write_kernels(out_dir, curve)
             return 0
-        report = properties_report(curve, source, dist)
+        report = properties_report(curve)
         _write_json(out_dir, "properties.json",
                     {"schema": ser.SCHEMA, **asdict(report),
                      "passed": report.passed})

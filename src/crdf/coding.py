@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import indexing as ix
 from .distortion import DistortionModel, average_distortion
 from .information import directed_information_of_joint
 from .probability import (
@@ -67,8 +66,9 @@ class TypicalitySpec:
         if not (self.source.horizon == self.chain.horizon
                 == self.dist.horizon == self.horizon):
             raise ShapeError("spec horizons disagree")
-        if self.source.alphabet != self.chain.nx:
-            raise ShapeError("source and chain X-alphabets differ")
+        self.dist.check_source(self.source)
+        if (self.chain.nx, self.chain.ny) != (self.dist.nx, self.dist.ny):
+            raise ShapeError("chain and distortion alphabets differ")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
                          pmf=spec.source.joint_pmf()[:, None] * K)
     P = joint.pmf
     nu = joint.y_marginal()
-    cost = spec.dist.total_cost_matrix(chain.nx, chain.ny) / m
+    cost = spec.dist.total_cost_matrix() / m
     i_norm = directed_information_of_joint(joint) / m
     d_norm = average_distortion(joint, spec.dist)
     sup = P > 0
@@ -184,7 +184,7 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
     y = spec.chain.sample(x, rng)
     lam = (np.log2(W[x, y]).sum(axis=1)
            - _forward_output_logprob(spec.source, W, y)) / m
-    d = spec.dist.letter_costs[x, y].mean(axis=1)
+    d = spec.dist.cost(x, y) / m
     # references are the sample means; exact values are unavailable here
     in_t = np.abs(lam - lam.mean()) < spec.epsilon
     in_d = np.abs(d - d.mean()) < spec.epsilon
@@ -274,23 +274,6 @@ class SimReport:
     std_err_distortion: float
 
 
-def _trial_distortion_table(dist: DistortionModel, x: np.ndarray,
-                            words: np.ndarray, nx: int,
-                            ny: int) -> np.ndarray:
-    """Average distortion of every trial row against every codeword."""
-    n = dist.horizon
-    if dist.is_single_letter:
-        # one (trials, codewords) slice per stage, never a 3-D gather
-        total = np.zeros((x.shape[0], words.shape[0]))
-        for i in range(n + 1):
-            total += dist.letter_costs[x[:, None, i], words[None, :, i]]
-        return total / (n + 1)
-    cost = dist.total_cost_matrix(nx, ny) / (n + 1)
-    xi = ix.from_letters(x, nx)
-    wi = ix.from_letters(words, ny)
-    return cost[np.ix_(xi, wi)]
-
-
 def simulate(source: SourceModel, dist: DistortionModel,
              chain: CausalKernelChain, rate: float, trials: int,
              epsilon: float, seed: int,
@@ -300,17 +283,14 @@ def simulate(source: SourceModel, dist: DistortionModel,
     The codebook comes from :func:`generate_codebook`: source blocks passed
     through the chain.  Each trial samples a source block, encodes it to the
     codeword of minimum average distortion (ties to the lowest index), and
-    records the achieved distortion.  Per-trial randomness is derived from
-    (seed, trial index), so results are independent of scheduling.  The
-    typicality fields are the probabilities of the joint law from
-    :func:`typicality_probability`, not fractions of the trials, and
-    ``target_d`` defaults to that law's mean distortion.
+    records the achieved distortion.  Trial t's source block depends only
+    on (seed, t).  The typicality fields are the probabilities of the joint
+    law from :func:`typicality_probability`, not fractions of the trials,
+    and ``target_d`` defaults to that law's mean distortion.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = source.horizon
-    if not (chain.horizon == dist.horizon == n):
-        raise ShapeError("simulation horizons disagree")
     spec = TypicalitySpec(epsilon, n, source, chain, dist)
     book = generate_codebook(source, chain, rate, seed)
 
@@ -318,8 +298,9 @@ def simulate(source: SourceModel, dist: DistortionModel,
     for t in range(trials):
         xs[t] = source.sample(1, np.random.default_rng([seed, t]))[0]
 
-    table = _trial_distortion_table(dist, xs, book.codewords, source.alphabet,
-                                    chain.ny)
+    # average distortion of every trial against every codeword, summed one
+    # (trials, codewords) slice per stage
+    table = dist.cost(xs[:, None], book.codewords[None]) / (n + 1)
     per_trial = table.min(axis=1)
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

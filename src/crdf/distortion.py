@@ -1,14 +1,15 @@
 """Distortion models and the two zero-rate distortion thresholds.
 
 A distortion model is either a single-letter cost matrix rho(x, y) applied at
-every stage, or an explicit family of per-stage tables rho_i(x^i, y^i).  The
-module always reports the normalized average d = (1/(n+1)) * sum_i rho_i;
-solvers that need the unnormalized sum absorb the factor into the Lagrange
-multiplier.
+every stage, or an explicit family of per-stage tables rho_i(x^i, y^i), whose
+shapes it checks against its alphabets (nx, ny).  Every cost is read through
+one evaluator on letter arrays, :meth:`DistortionModel.cost`.  The module
+always reports the normalized average d = (1/(n+1)) * sum_i rho_i; solvers
+that need the unnormalized sum absorb the factor into the Lagrange multiplier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,37 +30,42 @@ class DistortionModel:
     """Per-letter or history-dependent nonnegative distortion.
 
     ``letter_costs`` has shape (nx, ny) for the single-letter kind; ``tables``
-    holds one (nx**(i+1), ny**(i+1)) array per stage for the table kind.
-    All costs must be finite and >= 0 (the bounded-distortion hypothesis of
-    the coding theorem).
+    holds one (nx**(i+1), ny**(i+1)) array per stage for the table kind, and
+    stage 0 fixes nx and ny.  All costs must be finite and >= 0 (the
+    bounded-distortion hypothesis of the coding theorem).  :meth:`cost` is
+    the one reader of either format.
     """
 
     kind: str
     horizon: int
     letter_costs: Optional[np.ndarray] = None
     tables: Optional[tuple] = None
+    # alphabet sizes, read from the shape of stage 0
+    nx: int = field(init=False)
+    ny: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind == "single_letter":
-            c = _frozen_array(self.letter_costs)
-            if c.ndim != 2:
-                raise ValueError("letter costs must be a matrix")
-            self._check_nonneg(c)
-            object.__setattr__(self, "letter_costs", c)
-        elif self.kind == "table":
-            tabs = tuple(_frozen_array(t) for t in self.tables)
-            if len(tabs) != self.horizon + 1:
-                raise ValueError("need one table per stage 0..n")
-            for t in tabs:
-                self._check_nonneg(t)
-            object.__setattr__(self, "tables", tabs)
-        else:
+        if self.kind not in ("single_letter", "table"):
             raise ValueError(f"unknown distortion kind {self.kind!r}")
-
-    @staticmethod
-    def _check_nonneg(a: np.ndarray) -> None:
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
-            raise ValueError("distortion values must be finite and >= 0")
+        stages = tuple(_frozen_array(t) for t in (
+            self.tables if self.kind == "table" else (self.letter_costs,)))
+        if self.kind == "table" and len(stages) != self.horizon + 1:
+            raise ValueError("need one table per stage 0..n")
+        if stages[0].ndim != 2:
+            raise ValueError("stage 0 costs must be a matrix")
+        nx, ny = stages[0].shape
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "ny", ny)
+        for i, t in enumerate(stages):
+            want = (nx ** (i + 1), ny ** (i + 1))
+            if t.shape != want:
+                raise ShapeError(f"stage {i} table shape {t.shape} != {want}")
+            if not np.all(np.isfinite(t)) or np.any(t < 0):
+                raise ValueError("distortion values must be finite and >= 0")
+        if self.kind == "table":
+            object.__setattr__(self, "tables", stages)
+        else:
+            object.__setattr__(self, "letter_costs", stages[0])
 
     @classmethod
     def single_letter(cls, costs, horizon: int):
@@ -80,51 +86,67 @@ class DistortionModel:
     def is_single_letter(self) -> bool:
         return self.kind == "single_letter"
 
-    @property
-    def ny(self) -> int:
-        """Output alphabet size implied by the costs (last axis of stage 0)."""
-        if self.is_single_letter:
-            return self.letter_costs.shape[1]
-        return self.tables[0].shape[1]
+    def cost(self, x, y, stage: Optional[int] = None) -> np.ndarray:
+        """rho_i(x^i, y^i) at i = ``stage``, or sum_i rho_i when it is None.
 
-    def stage_cost(self, i: int, nx: int, ny: int) -> np.ndarray:
-        """rho_i as a matrix over (x^i, y^i) prefixes, shape (nx**(i+1), ny**(i+1))."""
-        if self.kind == "table":
-            t = self.tables[i]
-            want = (nx ** (i + 1), ny ** (i + 1))
-            if t.shape != want:
-                raise ShapeError(f"stage {i} table shape {t.shape} != {want}")
-            return t
-        lx = ix.all_indices(nx, i + 1) % nx
-        ly = ix.all_indices(ny, i + 1) % ny
-        return self.letter_costs[np.ix_(lx, ly)]
-
-    def total_cost_matrix(self, nx: int, ny: int) -> np.ndarray:
-        """Unnormalized sum_i rho_i over full trajectories, shape (Nx, Ny)."""
-        n = self.horizon
-        Nx, Ny = nx ** (n + 1), ny ** (n + 1)
-        if self.is_single_letter:
-            xs = ix.to_letters(ix.all_indices(nx, n + 1), nx, n + 1)
-            ys = ix.to_letters(ix.all_indices(ny, n + 1), ny, n + 1)
-            total = np.zeros((Nx, Ny))
-            for i in range(n + 1):
-                total += self.letter_costs[np.ix_(xs[:, i], ys[:, i])]
-            return total
-        xs_full = ix.all_indices(nx, n + 1)
-        ys_full = ix.all_indices(ny, n + 1)
-        total = np.zeros((Nx, Ny))
-        for i in range(n + 1):
-            hx = ix.prefix(xs_full, nx, n + 1, i + 1)
-            hy = ix.prefix(ys_full, ny, n + 1, i + 1)
-            total += self.stage_cost(i, nx, ny)[np.ix_(hx, hy)]
+        ``x`` and ``y`` are letter arrays of shape (..., k) that broadcast
+        against each other, with k = stage+1 (or n+1 for the sum); the
+        result has their broadcast shape without the last axis.  Stages are
+        added in place, so a sum holds two arrays of that shape at once.
+        """
+        stages = range(self.horizon + 1) if stage is None else (stage,)
+        total = None
+        for i in stages:
+            if self.is_single_letter:
+                c = self.letter_costs[x[..., i], y[..., i]]
+            else:
+                c = self.tables[i][ix.from_letters(x[..., :i + 1], self.nx),
+                                   ix.from_letters(y[..., :i + 1], self.ny)]
+            if total is None:
+                total = c        # a gather returns a fresh array
+            else:
+                total += c
+            del c                # or it outlives the next stage's gather
         return total
+
+    def _all_pairs(self, length: int):
+        """Letters of every (x^k, y^k) pair, k = ``length``, as (Nx, 1, k)
+        and (1, Ny, k) arrays."""
+        xs = ix.to_letters(ix.all_indices(self.nx, length), self.nx, length)
+        ys = ix.to_letters(ix.all_indices(self.ny, length), self.ny, length)
+        return xs[:, None], ys[None]
+
+    def stage_cost(self, i: int) -> np.ndarray:
+        """rho_i as a matrix over (x^i, y^i) prefixes, shape (nx**(i+1), ny**(i+1))."""
+        return self.cost(*self._all_pairs(i + 1), stage=i)
+
+    def total_cost_matrix(self) -> np.ndarray:
+        """Unnormalized sum_i rho_i over full trajectories, shape (Nx, Ny).
+
+        Built on the first call and kept, read-only, on the model.
+        """
+        total = self.__dict__.get("_total")
+        if total is None:
+            total = self.cost(*self._all_pairs(self.horizon + 1))
+            total.setflags(write=False)
+            object.__setattr__(self, "_total", total)
+        return total
+
+    def check_source(self, source: SourceModel) -> None:
+        """Raise ShapeError unless ``source`` has this model's horizon and
+        source alphabet."""
+        if source.horizon != self.horizon:
+            raise ShapeError("source and distortion horizons differ")
+        if source.alphabet != self.nx:
+            raise ShapeError(f"source alphabet {source.alphabet} != "
+                             f"distortion nx {self.nx}")
 
 
 def average_distortion(joint: JointMeasure, dist: DistortionModel) -> float:
     """Normalized expected distortion (1/(n+1)) * E[sum_i rho_i]."""
-    if joint.horizon != dist.horizon:
-        raise ShapeError("joint and distortion horizons differ")
-    cost = dist.total_cost_matrix(joint.nx, joint.ny)
+    if (joint.horizon, joint.nx, joint.ny) != (dist.horizon, dist.nx, dist.ny):
+        raise ShapeError("joint and distortion horizons or alphabets differ")
+    cost = dist.total_cost_matrix()
     return float(np.sum(joint.pmf * cost)) / (joint.horizon + 1)
 
 
@@ -143,9 +165,9 @@ def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
     |Y|**(n+1) constant reproduction sequences; ties break to the
     lexicographically smallest sequence.  Returns (value, sequence).
     """
-    per_seq, best = _min_sequence(
-        source.joint_pmf(), dist.total_cost_matrix(source.alphabet, dist.ny),
-        source.horizon)
+    dist.check_source(source)
+    per_seq, best = _min_sequence(source.joint_pmf(), dist.total_cost_matrix(),
+                                  source.horizon)
     letters = ix.to_letters(best, dist.ny, source.horizon + 1)
     seq = tuple(int(v) for v in letters)
     return float(per_seq[best]), seq
@@ -167,17 +189,11 @@ def zero_rate_sequence(source: SourceModel, dist: DistortionModel,
     certified: at s = 0 every output law independent of x is optimal.
     Returns None when the condition fails.
     """
-    return _zero_rate_index(
-        source.joint_pmf(), dist.total_cost_matrix(source.alphabet, dist.ny),
-        s, source.horizon)
-
-
-def _zero_rate_index(mu: np.ndarray, cost: np.ndarray, s: float,
-                     n: int) -> Optional[int]:
-    """:func:`zero_rate_sequence` on a source pmf and total cost matrix."""
+    dist.check_source(source)
     if s >= 0:
         return None
-    _, best = _min_sequence(mu, cost, n)
+    mu, cost = source.joint_pmf(), dist.total_cost_matrix()
+    _, best = _min_sequence(mu, cost, source.horizon)
     reach = mu > 0
     with np.errstate(over="ignore"):   # an overflow is a failed condition
         c = mu[reach] @ np.exp(s * (cost[reach] - cost[reach, best, None]))

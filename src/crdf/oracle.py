@@ -139,10 +139,10 @@ class _BatchEvaluator:
     """
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
-        n, nx, ny = source.horizon, source.alphabet, dist.ny
+        n, nx, ny = source.horizon, dist.nx, dist.ny
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
         self.mu = source.joint_pmf()
-        self.C = dist.total_cost_matrix(nx, ny)
+        self.C = dist.total_cost_matrix()
         self.evaluations = 0
 
     def lagrangian(self, stages_b) -> np.ndarray:
@@ -230,7 +230,8 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    n, nx, ny = source.horizon, source.alphabet, dist.ny
+    dist.check_source(source)
+    n, nx, ny = source.horizon, dist.nx, dist.ny
     if method == "grid":
         if n > 1 or nx > 3 or ny > 3:
             raise InstanceTooLarge("grid oracle supports n <= 1, alphabets <= 3")

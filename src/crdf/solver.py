@@ -23,13 +23,15 @@ against the directed-information rate at every converged point.
 
 Zero-rate interval.  For s < 0 both solvers first run Blahut's (1972) KKT
 test for the point mass on y*, the constant sequence that attains D_max
-(``distortion.zero_rate_sequence``).  When it holds, that point mass
-minimizes the classical Lagrangian; being a constant reproduction it is
-causal, and the classical minimum bounds the causal one from below, so it is
-the causal optimum as well (R = 0, D = D_max).  The solve then starts its
-output law at the point mass and the usual loop stops after two iterations.
+(``distortion.zero_rate_sequence``, which shows why that point mass is then
+the causal optimum, with R = 0 and D = D_max).  When it holds, the solve
+starts its output law there and the usual loop stops after two iterations.
 s = 0 is left to the uniform start: there every output law independent of x
 is optimal, and the uniform one already converges at once.
+
+Costs.  The tilt tables are the distortion model's per-stage matrices;
+everything else reads its total cost matrix, which the model builds on first
+use and keeps, so a sweep or a bisection builds it once.
 
 Conventions: s multiplies rho in natural units inside the exponent; all
 reported rates are bits per symbol and all distortions are normalized by
@@ -46,7 +48,6 @@ import numpy as np
 
 from .distortion import (
     DistortionModel,
-    _zero_rate_index,
     average_distortion,
     d_max_min_sequence,
     zero_rate_sequence,
@@ -143,9 +144,8 @@ class _Workspace:
     """Source prefix laws and tilt tables for one (source, dist, s) problem."""
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
-        if source.horizon != dist.horizon:
-            raise ShapeError("source and distortion horizons differ")
-        n, nx, ny = source.horizon, source.alphabet, dist.ny
+        dist.check_source(source)
+        n, nx, ny = source.horizon, dist.nx, dist.ny
         self.n, self.nx, self.ny = n, nx, ny
         mu = source.joint_pmf()
         # tilt tables exp(s*(rho_i - min_{y_i} rho_i)) laid out as
@@ -153,7 +153,7 @@ class _Workspace:
         # s*min goes back into V_i, where it is the factor dropped from Z_i
         self.exp_cost, self.cost_shift = [], []
         for i in range(n + 1):
-            rho = dist.stage_cost(i, nx, ny)          # (nx^(i+1), ny^(i+1))
+            rho = dist.stage_cost(i)                  # (nx^(i+1), ny^(i+1))
             rho = rho.reshape(nx ** (i + 1), ny**i, ny).transpose(1, 0, 2)
             low = rho.min(axis=2)
             self.exp_cost.append(np.exp(s * (rho - low[:, :, None])))
@@ -306,15 +306,16 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    n, nx, ny = source.horizon, source.alphabet, dist.ny
+    dist.check_source(source)
+    n, nx, ny = source.horizon, dist.nx, dist.ny
     mu = source.joint_pmf()
-    C = dist.total_cost_matrix(nx, ny)
+    C = dist.total_cost_matrix()
     # rows shifted by their minimum so exp cannot underflow to 0; the factor
     # exp(s*low) cancels in q and goes back into Z in the rate formula
     low = C.min(axis=1)
     E = np.exp(s * (C - low[:, None]))
     Ny = ny ** (n + 1)
-    y_star = _zero_rate_index(mu, C, s, n)
+    y_star = zero_rate_sequence(source, dist, s)
     nu = (np.full(Ny, 1.0 / Ny) if y_star is None
           else FinitePmf.point_mass(y_star, Ny).weights)
     q_prev = None
@@ -383,13 +384,12 @@ class PropertiesReport:
                 and self.positive_rate_below_dmax_ok)
 
 
-def properties_report(curve: RDCurve, source: SourceModel,
-                      dist: DistortionModel) -> PropertiesReport:
-    """Check the structural properties of a swept curve."""
+def properties_report(curve: RDCurve) -> PropertiesReport:
+    """Check the structural properties of a swept curve against its D_max."""
     pts = sorted(curve.converged_points(), key=lambda p: p.distortion)
     if len(pts) < 3:
         raise ValueError("need at least 3 converged points")
-    dmax, _ = d_max_min_sequence(source, dist)
+    dmax = curve.d_max_reported
     D = np.array([p.distortion for p in pts])
     R = np.array([p.rate for p in pts])
     monotone = bool(np.all(np.diff(R) <= MONOTONE_TOL))

@@ -192,7 +192,7 @@ class TestCriterion5:
         for name, (src, dist, curve) in matrix_curves.items():
             if name == "mkv3-ham-n1":
                 continue
-            rep = properties_report(curve, src, dist)
+            rep = properties_report(curve)
             ok &= rep.passed
             details.append(f"{name}:{'ok' if rep.passed else 'FAIL'}")
         assert report("5a", "curve shape (monotone/convex/zero-rate) on "
@@ -202,7 +202,7 @@ class TestCriterion5:
         # each point must be the causal optimum: a stage-wise fixed point, or
         # a warm start locked on a point-mass output law, breaks convexity
         src, dist, curve = matrix_curves["mkv3-ham-n1"]
-        rep = properties_report(curve, src, dist)
+        rep = properties_report(curve)
         assert report("5b", "curve shape on ternary Markov source "
                             f"(convex_ok={rep.convex_ok})", rep.passed)
 

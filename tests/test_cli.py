@@ -246,6 +246,24 @@ class TestValidation:
         })
         assert run("solve", cfg, tmp_path) == 2
 
+    @pytest.mark.parametrize("letter, costs", [
+        ([0.5, 0.5], [[0, 1], [1, 0], [1, 1]]),
+        ([0.2, 0.3, 0.5], [[0, 1], [1, 0]]),
+    ])
+    def test_distortion_alphabet_mismatch(self, tmp_path, capsys, letter,
+                                          costs):
+        # three cost rows on a binary source ran on rows 0-1; two rows on a
+        # ternary source ended in an IndexError traceback
+        cfg = write_config(tmp_path, {
+            "source": {"kind": "iid", "horizon": 1, "letter": letter},
+            "distortion": {"kind": "single_letter", "horizon": 1,
+                           "costs": costs},
+            "solver": {"s": -1.0},
+        })
+        assert run("solve", cfg, tmp_path) == 2
+        assert "error: distortion:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("key", ["tie_stationary", "init", "sedd"])
     def test_unknown_solver_key_names_the_key(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, {"solver": {"s": -1.0, key: True}})

@@ -123,7 +123,7 @@ class TestTypicality:
             epsilon=0.05, horizon=n, source=spec.source, dist=spec.dist,
             chain=CausalKernelChain.from_stages(stages, 2, 2))
         tables = DistortionModel.from_tables(
-            [spec.dist.stage_cost(i, 2, 2) for i in range(n + 1)], n)
+            [spec.dist.stage_cost(i) for i in range(n + 1)], n)
         tabled = TypicalitySpec(epsilon=0.05, horizon=n, source=spec.source,
                                 chain=spec.chain, dist=tables)
         markov = TypicalitySpec(
@@ -326,7 +326,7 @@ class TestSimulate:
         src = SourceModel.iid(FinitePmf([0.999, 0.001]), n)
         ham = DistortionModel.hamming(2, n)
         tables = DistortionModel.from_tables(
-            [ham.stage_cost(i, 2, 2) for i in range(n + 1)], n)
+            [ham.stage_cost(i) for i in range(n + 1)], n)
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
         by_table = simulate(src, tables, chain, 0.5, 5, 0.1, 0)
         by_letter = simulate(src, ham, chain, 0.5, 5, 0.1, 0)

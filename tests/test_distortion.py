@@ -6,12 +6,15 @@ from crdf import (
     CausalKernelChain,
     DistortionModel,
     FinitePmf,
+    ShapeError,
     SourceModel,
     average_distortion,
+    classical_ba,
     d_max_min_sequence,
     d_max_product,
     make_joint,
     output_marginal,
+    sweep,
 )
 from crdf.sampling import random_chain, random_markov_source
 
@@ -21,7 +24,7 @@ rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
 class TestConstruction:
     def test_hamming_letter_costs(self):
         dist = DistortionModel.hamming(3, 2)
-        costs = dist.stage_cost(0, 3, 3)
+        costs = dist.stage_cost(0)
         assert np.array_equal(costs, 1.0 - np.eye(3))
 
     def test_negative_costs_rejected(self):
@@ -36,11 +39,11 @@ class TestConstruction:
     def test_stage_cost_shapes_grow_with_prefix(self):
         dist = DistortionModel.hamming(2, 2)
         for i in range(3):
-            assert dist.stage_cost(i, 2, 2).shape == (2 ** (i + 1), 2 ** (i + 1))
+            assert dist.stage_cost(i).shape == (2 ** (i + 1), 2 ** (i + 1))
 
     def test_total_cost_matrix_is_sum_of_stage_costs(self):
         dist = DistortionModel.hamming(2, 1)
-        C = dist.total_cost_matrix(2, 2)
+        C = dist.total_cost_matrix()
         # d(x^1, y^1) = 1{x0 != y0} + 1{x1 != y1}, trajectories in
         # mixed-radix order 00, 01, 10, 11
         expect = np.array([[0, 1, 1, 2], [1, 0, 2, 1],
@@ -52,8 +55,76 @@ class TestConstruction:
         t0 = np.array([[0.0, 1.0], [1.0, 0.0]])
         t1 = np.arange(16, dtype=float).reshape(4, 4)
         dist = DistortionModel.from_tables([t0, t1], 1)
-        C = dist.total_cost_matrix(2, 2)
+        C = dist.total_cost_matrix()
         assert C[3, 2] == t0[1, 1] + t1[3, 2]
+
+
+class TestCostEvaluator:
+    @staticmethod
+    def random_model(rng):
+        n = int(rng.integers(0, 3))
+        nx, ny = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            return DistortionModel.single_letter(rng.random((nx, ny)), n)
+        return DistortionModel.from_tables(
+            [rng.random((nx ** (i + 1), ny ** (i + 1))) for i in range(n + 1)],
+            n)
+
+    @staticmethod
+    def stage_by_letters(dist, x, y, i):
+        """rho_i of one pair of letter sequences, read letter by letter."""
+        if dist.is_single_letter:
+            return dist.letter_costs[x[i], y[i]]
+        hx = hy = 0
+        for j in range(i + 1):
+            hx, hy = hx * dist.nx + x[j], hy * dist.ny + y[j]
+        return dist.tables[i][hx, hy]
+
+    @given(rngs)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_letter_by_letter_sum(self, rng):
+        dist = self.random_model(rng)
+        m = dist.horizon + 1
+        x = rng.integers(0, dist.nx, size=(3, 1, m))
+        y = rng.integers(0, dist.ny, size=(1, 4, m))
+        total = dist.cost(x, y)
+        assert total.shape == (3, 4)
+        for a in range(3):
+            for b in range(4):
+                stages = [self.stage_by_letters(dist, x[a, 0], y[0, b], i)
+                          for i in range(m)]
+                assert total[a, b] == sum(stages)
+                for i in range(m):
+                    assert (dist.cost(x[a, 0, :i + 1], y[0, b, :i + 1], stage=i)
+                            == stages[i])
+
+    def test_table_of_wrong_shape_rejected_at_construction(self):
+        with pytest.raises(ShapeError):
+            DistortionModel.from_tables([np.zeros((2, 2)), np.zeros((4, 3))],
+                                        1)
+
+    def test_total_cost_matrix_built_once(self, monkeypatch):
+        builds = []
+        cost = DistortionModel.cost
+
+        def counted(self, x, y, stage=None):
+            if stage is None:    # the sum over stages: a matrix build here
+                builds.append(self)
+            return cost(self, x, y, stage)
+        monkeypatch.setattr(DistortionModel, "cost", counted)
+        src = SourceModel.markov(FinitePmf.uniform(2),
+                                 np.array([[0.8, 0.2], [0.2, 0.8]]), 1)
+        dist = DistortionModel.hamming(2, 1)
+        sweep(src, dist, [0.0, -0.5, -2.0])
+        lo, hi = -10.0, 0.0
+        for _ in range(5):
+            mid = 0.5 * (lo + hi)
+            if classical_ba(src, dist, mid).distortion > 0.1:
+                hi = mid
+            else:
+                lo = mid
+        assert len(builds) == 1 and builds[0] is dist
+        assert not dist.total_cost_matrix().flags.writeable
 
 
 class TestAverageDistortion:

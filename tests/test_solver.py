@@ -385,7 +385,7 @@ class TestPropertiesReport:
         src = SourceModel.iid(UNIFORM2, 2)
         dist = DistortionModel.hamming(2, 2)
         curve = sweep(src, dist, default_s_grid())
-        rep = properties_report(curve, src, dist)
+        rep = properties_report(curve)
         assert rep.passed
 
     def test_too_few_points_rejected(self):
@@ -393,7 +393,7 @@ class TestPropertiesReport:
         dist = DistortionModel.hamming(2, 0)
         curve = sweep(src, dist, [0.0])
         with pytest.raises(ValueError):
-            properties_report(curve, src, dist)
+            properties_report(curve)
 
     def test_zero_cost_distortion_gives_flat_zero_curve(self):
         src = SourceModel.iid(UNIFORM2, 1)
@@ -401,7 +401,7 @@ class TestPropertiesReport:
         curve = sweep(src, dist, [-2.0, -1.0, -0.5, 0.0])
         for p in curve.points:
             assert p.rate == pytest.approx(0.0, abs=1e-12)
-        rep = properties_report(curve, src, dist)
+        rep = properties_report(curve)
         assert rep.monotone_ok and rep.zero_rate_at_dmax_ok
 
 
