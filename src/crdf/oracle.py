@@ -164,59 +164,73 @@ class _BatchEvaluator:
 def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
     """Greedy mass-shifting descent, run on every start simultaneously.
 
-    Each batch entry follows exactly the serial schedule: sweep all
-    (stage, history) rows trying pairwise mass shifts of the current step,
-    accept improvements immediately, halve the step once a sweep stalls.
-    DESCENT_MAX_SWEEPS caps the sweeps per step level because
-    near-deterministic optima otherwise cycle through microscopic
-    improvements for millions of evaluations; entries that have already
-    stalled are unaffected by the extra sweeps of their batch-mates (a
-    stalled sweep is a no-op).
+    Each batch entry follows the serial schedule with its own step and
+    sweep counter: sweep all (stage, history) rows trying pairwise mass
+    shifts of its current step, accept improvements immediately, and halve
+    the step once a sweep stalls or after DESCENT_MAX_SWEEPS sweeps at one
+    step, because near-deterministic optima otherwise cycle through
+    microscopic improvements for millions of evaluations.  An entry leaves
+    the batch once its step is below DESCENT_MIN_STEP, so no start is
+    evaluated after it has converged.
     """
     B = stages_b[0].shape[0]
     pairs = [(a, b) for a in range(ev.ny) for b in range(ev.ny) if a != b]
     maps = ix.stage_maps(ev.nx, ev.ny, ev.n)
     G = list(ix.stage_factors(stages_b, ev.nx, ev.ny, ev.n))
     best = ev.lagrangian(stages_b)
-    step = DESCENT_STEP0
-    while step >= DESCENT_MIN_STEP:
-        for _ in range(DESCENT_MAX_SWEEPS):
-            improved = np.zeros(B, dtype=bool)
-            for i in range(ev.n + 1):
-                P = np.ones_like(G[0])
-                for j in range(ev.n + 1):
-                    if j != i:
-                        P = P * G[j]
-                hy_map, hx_map, y_map = maps[i]
-                for hy in range(stages_b[i].shape[1]):
-                    cols = np.nonzero(hy_map[0] == hy)[0]
-                    ylets = y_map[0, cols]
-                    for hx in range(stages_b[i].shape[2]):
-                        rows_x = np.nonzero(hx_map[:, 0] == hx)[0]
-                        for a, b in pairs:
-                            row = stages_b[i][:, hy, hx]
-                            delta = np.minimum(step, row[:, a])
-                            movable = delta > 0
-                            if not movable.any():
-                                continue
-                            row2 = row.copy()
-                            row2[:, a] -= delta
-                            row2[:, b] += delta
-                            Gi = G[i].copy()
-                            Gi[:, rows_x[:, None], cols[None, :]] = \
-                                row2[:, ylets][:, None, :]
-                            val = ev.value(P * Gi)
-                            accept = movable & (
-                                val < best - 1e-12 * (1.0 + np.abs(best)))
-                            if accept.any():
-                                stages_b[i][accept, hy, hx] = row2[accept]
-                                G[i][accept] = Gi[accept]
-                                best[accept] = val[accept]
-                                improved |= accept
-            if not improved.any():
-                break
-        step *= 0.5
-    return best, stages_b
+    step = np.full(B, DESCENT_STEP0)
+    sweeps = np.zeros(B, dtype=np.int64)
+    live = np.arange(B)                 # the start of each batch entry
+    out_best = np.empty(B)
+    out_stages = [np.empty_like(sb) for sb in stages_b]
+    while live.size:
+        improved = np.zeros(live.size, dtype=bool)
+        for i in range(ev.n + 1):
+            P = np.ones_like(G[0])
+            for j in range(ev.n + 1):
+                if j != i:
+                    P = P * G[j]
+            hy_map, hx_map, y_map = maps[i]
+            for hy in range(stages_b[i].shape[1]):
+                cols = np.nonzero(hy_map[0] == hy)[0]
+                ylets = y_map[0, cols]
+                for hx in range(stages_b[i].shape[2]):
+                    rows_x = np.nonzero(hx_map[:, 0] == hx)[0]
+                    for a, b in pairs:
+                        row = stages_b[i][:, hy, hx]
+                        delta = np.minimum(step, row[:, a])
+                        movable = delta > 0
+                        if not movable.any():
+                            continue
+                        row2 = row.copy()
+                        row2[:, a] -= delta
+                        row2[:, b] += delta
+                        Gi = G[i].copy()
+                        Gi[:, rows_x[:, None], cols[None, :]] = \
+                            row2[:, ylets][:, None, :]
+                        val = ev.value(P * Gi)
+                        accept = movable & (
+                            val < best - 1e-12 * (1.0 + np.abs(best)))
+                        if accept.any():
+                            stages_b[i][accept, hy, hx] = row2[accept]
+                            G[i][accept] = Gi[accept]
+                            best[accept] = val[accept]
+                            improved |= accept
+        sweeps += 1
+        halve = ~improved | (sweeps >= DESCENT_MAX_SWEEPS)
+        step[halve] *= 0.5
+        sweeps[halve] = 0
+        done = step < DESCENT_MIN_STEP
+        if done.any():
+            out_best[live[done]] = best[done]
+            for out, sb in zip(out_stages, stages_b):
+                out[live[done]] = sb[done]
+            keep = ~done
+            live, best, step, sweeps = (live[keep], best[keep], step[keep],
+                                        sweeps[keep])
+            stages_b = [sb[keep] for sb in stages_b]
+            G = [g[keep] for g in G]
+    return out_best, out_stages
 
 
 def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,

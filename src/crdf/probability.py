@@ -79,9 +79,13 @@ class CausalKernelChain:
     """Family {q_i(y_i | y^{i-1}, x^i)}_{i=0..n}.
 
     Stage i is stored as an array of shape (ny**i, nx**(i+1), ny), indexed by
-    (prefix y^{i-1}, prefix x^i, y_i).  A chain may alternatively be declared
-    ``memoryless`` via a single per-letter channel W(y|x), in which case stage
-    tables are synthesized on demand (and never materialized at large n).
+    (prefix y^{i-1}, prefix x^i, y_i), or, when q_i depends on x^i only
+    through x_i, compactly as (ny**i, nx, ny), indexed by (y^{i-1}, x_i, y_i).
+    Each stage's layout is read from its shape (at i = 0 the two coincide).
+    A chain may alternatively be declared ``memoryless`` via a single
+    per-letter channel W(y|x).  :meth:`stage` synthesizes the full-history
+    table of a compact or memoryless stage on demand, and :meth:`sample`
+    reads their rows directly, so neither is materialized at large n.
     """
 
     nx: int
@@ -100,11 +104,11 @@ class CausalKernelChain:
             if len(stages) != self.horizon + 1:
                 raise ValueError("need one stage kernel per time index 0..n")
             for i, s in enumerate(stages):
-                want = (self.ny**i, self.nx ** (i + 1), self.ny)
-                if s.shape != want:
-                    raise ShapeError(
-                        f"stage {i} has shape {s.shape}, expected {want}"
-                    )
+                full = (self.ny**i, self.nx ** (i + 1), self.ny)
+                compact = (self.ny**i, self.nx, self.ny)
+                if s.shape not in (full, compact):
+                    raise ShapeError(f"chain stage {i} has shape {s.shape}, "
+                                     f"expected {full} or {compact}")
                 _check_rows_stochastic(s, f"stage {i}")
             object.__setattr__(self, "stages", stages)
         else:
@@ -128,22 +132,27 @@ class CausalKernelChain:
     def is_memoryless(self) -> bool:
         return self.letter_kernel is not None
 
+    def _full_history(self, i: int) -> bool:
+        """Whether stage i is stored over x^i rather than x_i alone."""
+        return (self.stages is not None
+                and self.stages[i].shape[1] == self.nx ** (i + 1))
+
     def stage(self, i: int) -> np.ndarray:
         """Stage table q_i with shape (ny**i, nx**(i+1), ny)."""
-        if self.stages is not None:
+        if self._full_history(i):
             return self.stages[i]
-        nhy, nhx = self.ny**i, self.nx ** (i + 1)
         xlast = ix.all_indices(self.nx, i + 1) % self.nx
-        table = np.broadcast_to(
-            self.letter_kernel[xlast][None, :, :], (nhy, nhx, self.ny)
-        )
-        return table
+        if self.is_memoryless:
+            return np.broadcast_to(self.letter_kernel[xlast][None, :, :],
+                                   (self.ny**i, self.nx ** (i + 1), self.ny))
+        return self.stages[i][:, xlast]
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Pass source blocks, a (num, n+1) letter array, through the chain.
 
         y_i is drawn from q_i(. | y^{i-1}, x^i) stage by stage; a per-letter
-        chain reads its rows from ``letter_kernel``, so it costs O(n).
+        chain reads its rows from ``letter_kernel`` and a compact stage at
+        (y^{i-1}, x_i), so a per-letter chain costs O(n).
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.horizon + 1:
@@ -152,9 +161,12 @@ class CausalKernelChain:
         u = rng.random(x.shape)      # all uniforms first: one fixed stream
         y = np.empty(x.shape, dtype=np.int64)
         for i in range(self.horizon + 1):
-            rows = (self.letter_kernel[x[:, i]] if self.is_memoryless else
-                    self.stages[i][ix.from_letters(y[:, :i], self.ny),
-                                   ix.from_letters(x[:, :i + 1], self.nx)])
+            if self.is_memoryless:
+                rows = self.letter_kernel[x[:, i]]
+            else:
+                hx = (ix.from_letters(x[:, :i + 1], self.nx)
+                      if self._full_history(i) else x[:, i])
+                rows = self.stages[i][ix.from_letters(y[:, :i], self.ny), hx]
             draw = (u[:, i, None] > np.cumsum(rows, axis=1)).sum(axis=1)
             y[:, i] = np.minimum(draw, self.ny - 1)
         return y

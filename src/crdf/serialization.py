@@ -10,7 +10,11 @@ Schema (versioned via the "schema" field, currently "crdf-v1"):
                {"kind": "single_letter", "horizon": n, "costs": [[...]]}
                {"kind": "table", "horizon": n, "tables": [[[...]], ...]}
 * chain:       {"kind": "stages", "nx": a, "ny": b, "stages": [...]} with stage i
-               flattened over (y^{i-1}, x^i) rows in mixed-radix order, or
+               flattened to rows of ny entries in mixed-radix order, either
+               over (y^{i-1}, x^i) (ny^i * nx^(i+1) rows) or, for a stage that
+               depends on x^i only through x_i, over (y^{i-1}, x_i) (ny^i * nx
+               rows); the reader tells the two apart by the row count, and
+               the writer keeps the layout the chain holds.  Or
                {"kind": "memoryless", "horizon": n, "letter_kernel": [[...]]}
 * general kernel: {"nx": a, "ny": b, "horizon": n, "table": [[...]]}
 * output:      {"kind": "explicit", "ny": b, "horizon": n, "joint": [...]};
@@ -121,8 +125,7 @@ def chain_from_dict(d: dict, where: str = "chain") -> CausalKernelChain:
             nx, ny = int(_require(d, "nx", where)), int(_require(d, "ny", where))
             stages = []
             for i, flat in enumerate(_require(d, "stages", where)):
-                arr = np.array(flat, float).reshape(ny**i, nx ** (i + 1), ny)
-                stages.append(arr)
+                stages.append(np.array(flat, float).reshape(ny**i, -1, ny))
             return CausalKernelChain.from_stages(stages, nx, ny)
     except ConfigError:
         raise

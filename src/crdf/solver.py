@@ -11,15 +11,23 @@ optimal causal chain is the backward-recursive exponential tilt
 computed stage by stage from i = n down to 0.  G_i is the expected
 cost-to-go of the later stages; for iid sources it does not depend on y_i
 and the kernel reduces to the stage-wise tilt.  The solver alternates this
-kernel update with the output-marginal update until the kernel stops moving;
-the output law nu(y^n) comes from a forward pass that carries
-P(y^{i-1}, x^i) through the stages, so no iteration forms the (Nx, Ny)
-joint.  It sweeps s to trace the rate-distortion curve, and cross-checks the
+kernel update with the output-marginal update until the kernel stops moving.
+
+State layout.  For an iid or Markov source with single-letter costs, q_i
+depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
+nx * ny^i rows instead of nx^(i+1) * ny^i, and the returned chain holds these
+compact stages.  Explicit sources and table costs keep the full history
+(y^{i-1}, x^i).  The input selects the layout; the code is the same.
+
+Joint-free measures.  A forward pass carries P(y^{i-1}, x^i) through the
+stages.  Every iteration reads the output law nu(y^n) from it, and the final
+chain also reads the distortion sum_i E[rho_i] and the directed information
+sum_i E[log2 q_i / nu_i], so no solve forms the (Nx, Ny) joint.  The
 telescoped closed-form rate
 
     R = s*D*log2(e) - E_mu[ log2 Z_0(X_0) ] / (n+1)
 
-against the directed-information rate at every converged point.
+is reported next to the directed-information rate as a cross-check.
 
 Zero-rate interval.  For s < 0 both solvers first run Blahut's (1972) KKT
 test for the point mass on y*, the constant sequence that attains D_max
@@ -29,9 +37,10 @@ starts its output law there and the usual loop stops after two iterations.
 s = 0 is left to the uniform start: there every output law independent of x
 is optimal, and the uniform one already converges at once.
 
-Costs.  The tilt tables are the distortion model's per-stage matrices;
-everything else reads its total cost matrix, which the model builds on first
-use and keeps, so a sweep or a bisection builds it once.
+Costs.  The tilt tables and the forward pass read the distortion model's
+per-stage matrices; the zero-rate test, D_max and the classical solver read
+its total cost matrix, which the model builds on first use and keeps, so a
+sweep or a bisection builds it once.
 
 Conventions: s multiplies rho in natural units inside the exponent; all
 reported rates are bits per symbol and all distortions are normalized by
@@ -40,6 +49,7 @@ provided as a baseline for rate-loss-due-to-causality reports.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -52,11 +62,7 @@ from .distortion import (
     d_max_min_sequence,
     zero_rate_sequence,
 )
-from .information import (
-    LOG2E,
-    directed_information_of_joint,
-    mutual_information,
-)
+from .information import ATOM_FLOOR, LOG2E, mutual_information
 from .probability import (
     CausalKernelChain,
     FinitePmf,
@@ -66,8 +72,6 @@ from .probability import (
     ShapeError,
     SourceModel,
     _chain_rule_conditionals,
-    make_joint,
-    output_marginal,
 )
 
 
@@ -141,33 +145,58 @@ def _max_step(a, b) -> float:
 
 
 class _Workspace:
-    """Source prefix laws and tilt tables for one (source, dist, s) problem."""
+    """Source laws and tilt tables for one (source, dist, s) problem.
+
+    The layout of the stage tables is read from the input.  For an iid or
+    Markov source with single-letter costs, q_i depends on x^i only through
+    x_i (by induction on the backward recursion), so every stage table is
+    laid out as (y^{i-1}, x_i, y_i), the cost rho_0 serves every stage, and
+    ``mu_next[i]`` is the (nx, nx) transition (the letter pmf tiled for an
+    iid source): the Markov-state layout.  Otherwise the tables are laid out
+    as (y^{i-1}, x^i, y_i) and ``mu_next[i]`` is mu(x_{i+1} | x^i).
+    """
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
         dist.check_source(source)
         n, nx, ny = source.horizon, dist.nx, dist.ny
         self.n, self.nx, self.ny = n, nx, ny
-        mu = source.joint_pmf()
-        # tilt tables exp(s*(rho_i - min_{y_i} rho_i)) laid out as
-        # (y^{i-1}, x^i, y_i); the shift keeps exp from underflowing to 0 and
-        # s*min goes back into V_i, where it is the factor dropped from Z_i
-        self.exp_cost, self.cost_shift = [], []
+        self.markov = source.kind in ("iid", "markov") and dist.is_single_letter
+        # per stage: rho_i, and the tilt table exp(s*(rho_i - min_{y_i} rho_i))
+        # with its shift s*min, in the stage layout; the shift keeps exp from
+        # underflowing to 0 and goes back into V_i, where it is the factor
+        # dropped from Z_i.  The minimum over y_i is taken elementwise across
+        # the ny slices of (x^i, y^{i-1}, y_i), then the axes are swapped:
+        # numpy's reduction over a short last axis is about 30 times slower
+        # at n = 8, and the minimum is exact either way.  In the Markov-state
+        # layout stage 0's tables, (1, nx, ny), serve every stage.
+        tables = []
         for i in range(n + 1):
-            rho = dist.stage_cost(i)                  # (nx^(i+1), ny^(i+1))
-            rho = rho.reshape(nx ** (i + 1), ny**i, ny).transpose(1, 0, 2)
-            low = rho.min(axis=2)
-            self.exp_cost.append(np.exp(s * (rho - low[:, :, None])))
-            self.cost_shift.append(s * low)
-        # source prefix marginals mu(x^i) and transitions mu(x_{i+1} | x^i)
-        prefix = [mu.reshape(nx ** (i + 1), -1).sum(axis=1)
-                  for i in range(n + 1)]
-        self.mu0 = prefix[0]
-        self.mu_next = []
-        for i in range(n):
-            parent = prefix[i]
-            child = prefix[i + 1].reshape(nx ** (i + 1), nx)
-            safe = np.where(parent > 0, parent, 1.0)
-            self.mu_next.append(child / safe[:, None])
+            if i == 0 or not self.markov:
+                rho = dist.stage_cost(i).reshape(nx ** (i + 1), ny**i, ny)
+                low = functools.reduce(np.minimum, np.moveaxis(rho, 2, 0))
+                table = (rho.transpose(1, 0, 2),
+                         np.exp(s * (rho - low[:, :, None])).transpose(1, 0, 2),
+                         (s * low).T)
+            tables.append(table)
+        self.cost, self.exp_cost, self.cost_shift = zip(*tables)
+        if self.markov and source.kind == "iid":
+            self.mu0 = source.letter.weights
+            self.mu_next = [np.tile(self.mu0, (nx, 1))] * n
+        elif self.markov:
+            self.mu0 = source.initial.weights
+            self.mu_next = [source.transition] * n
+        else:
+            # source prefix marginals mu(x^i), transitions mu(x_{i+1} | x^i)
+            mu = source.joint_pmf()
+            prefix = [mu.reshape(nx ** (i + 1), -1).sum(axis=1)
+                      for i in range(n + 1)]
+            self.mu0 = prefix[0]
+            self.mu_next = []
+            for i in range(n):
+                parent = prefix[i]
+                child = prefix[i + 1].reshape(nx ** (i + 1), nx)
+                safe = np.where(parent > 0, parent, 1.0)
+                self.mu_next.append(child / safe[:, None])
 
     def tilt(self, nu_conds):
         """Optimal causal kernel for fixed output conditionals.
@@ -191,27 +220,59 @@ class _Workspace:
             stages[i] = w / Z[:, :, None]
             V = shift - np.log(Z) - self.cost_shift[i]
             if i > 0:
-                # G_{i-1}(x^{i-1}, y^{i-1}) = sum_{x_i} mu(x_i|x^{i-1}) V_i
-                V = V.reshape(ny ** (i - 1), ny, nx**i, nx)
+                # G_{i-1}(x^{i-1}, y^{i-1}) = sum_{x_i} mu(x_i|x^{i-1}) V_i;
+                # in the Markov-state layout V_i has no x^{i-1} axis, and
+                # mu_next brings in x_{i-1}
+                V = V.reshape(ny ** (i - 1), ny, -1, nx)
                 G = (V * self.mu_next[i - 1]).sum(axis=3).transpose(0, 2, 1)
         return stages, V
 
-    def output_law(self, stages) -> np.ndarray:
-        """Output marginal nu(y^n) of the source through a stage chain.
+    def prefix_laws(self, stages) -> list:
+        """P(y^{i-1}, x^i) for i = 0..n, laid out as stage i's first two axes
+        (x_i alone in the Markov-state layout).
 
-        A forward pass that carries P(y^{i-1}, x^i), laid out as the stage
-        tables' first two axes, from stage 0 up; it never forms the
-        (Nx, Ny) joint.
+        The forward pass behind the output law and the measures: it never
+        forms the (Nx, Ny) joint.
         """
-        nx, ny, n = self.nx, self.ny, self.n
-        a = self.mu0[None, :]
-        for i in range(n):
+        ny = self.ny
+        laws = [self.mu0[None, :]]
+        for i in range(self.n):
             # P(y^{i-1}, x^i, y_i) reordered to (y^i, x^i), then times
-            # mu(x_{i+1} | x^i) gives P(y^i, x^{i+1})
-            b = (a[:, :, None] * stages[i]).transpose(0, 2, 1)
-            a = (b.reshape(ny ** (i + 1), nx ** (i + 1))[:, :, None]
-                 * self.mu_next[i]).reshape(ny ** (i + 1), nx ** (i + 2))
-        return (a[:, None, :] @ stages[n]).reshape(-1)
+            # mu(x_{i+1} | x^i) gives P(y^i, x^{i+1}); in the Markov-state
+            # layout the product sums x_i out
+            b = (laws[i][:, :, None] * stages[i]).transpose(0, 2, 1)
+            b = b.reshape(ny ** (i + 1), -1)
+            if self.markov:
+                laws.append(b @ self.mu_next[i])
+            else:
+                laws.append((b[:, :, None] * self.mu_next[i])
+                            .reshape(ny ** (i + 1), -1))
+        return laws
+
+    def output_law(self, stages) -> np.ndarray:
+        """Output marginal nu(y^n) of the source through a stage chain."""
+        a = self.prefix_laws(stages)[-1]
+        return (a[:, None, :] @ stages[self.n]).reshape(-1)
+
+    def measures(self, stages) -> tuple:
+        """nu(y^n), sum_i E[rho_i] and I(X^n -> Y^n) in bits of a stage chain.
+
+        Directed information is sum_i E[log2 q_i / nu_i], with nu_i the
+        chain-rule conditional of the output law; it does not use the
+        telescoped rate formula, so it stays a cross-check of it.  Atoms of
+        at most ATOM_FLOOR are dropped before dividing, as in
+        ``directed_information_of_joint``.
+        """
+        d = di = 0.0
+        for q, a, rho in zip(stages, self.prefix_laws(stages), self.cost):
+            p = a[:, :, None] * q                        # P(y^{i-1}, x^i, y_i)
+            d += float(np.sum(p * rho))
+            py = p.sum(axis=1)                           # P(y^{i-1}, y_i)
+            keep = p > ATOM_FLOOR
+            num = (q * py.sum(axis=1)[:, None, None])[keep]
+            den = np.broadcast_to(py[:, None, :], p.shape)[keep]
+            di += float(np.sum(p[keep] * np.log2(num / den)))
+        return py.reshape(-1), d, di
 
 
 def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
@@ -254,12 +315,12 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         q_prev = q
 
     chain = CausalKernelChain.from_stages(q, nx, ny)
-    joint = make_joint(source, chain)
-    output = output_marginal(joint)
+    nu, d_sum, info = ws.measures(q)
+    output = OutputProcess(ny=ny, horizon=n, joint=nu)
     q_next, V0 = ws.tilt(output.conditionals)
     residual = _max_step(q_next, q)
-    d_norm = average_distortion(joint, dist)
-    rate = directed_information_of_joint(joint) / (n + 1)
+    d_norm = d_sum / (n + 1)
+    rate = info / (n + 1)
     # the stage sum telescopes: -E[log2 Z_0] is the minimized Lagrangian
     formula = s * LOG2E * d_norm + LOG2E * float(ws.mu0 @ V0[0]) / (n + 1)
     return RateDistortionPoint(

@@ -32,7 +32,6 @@ from crdf import (
     TypicalitySpec,
     bisect_s_for_distortion,
     brute_force_lagrangian,
-    classical_ba,
     compare,
     d_max_min_sequence,
     gateaux_derivative,
@@ -244,18 +243,12 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    def test_causal_rate_dominates_classical(self, matrix_curves):
+    def test_causal_rate_dominates_classical(self, matrix_curves,
+                                            classical_at_distortion):
         src, dist, curve = matrix_curves["mkv2-ham-n2"]
         ok = True
         for p in curve.converged_points():
-            lo, hi = -60.0, 0.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if classical_ba(src, dist, mid).distortion > p.distortion:
-                    hi = mid
-                else:
-                    lo = mid
-            classic = classical_ba(src, dist, 0.5 * (lo + hi))
+            classic = classical_at_distortion(src, dist, p.distortion)
             ok &= p.rate >= classic.rate - 1e-9
         assert report(7, "causal rate >= classical rate at matched D "
                          "for the binary Markov source", ok)

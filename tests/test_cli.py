@@ -307,6 +307,14 @@ class TestValidation:
         assert f"error: {field}: must be a JSON object" in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    def test_chain_stage_of_neither_layout(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "kernel": {"kind": "stages", "nx": 2, "ny": 2,
+                       "stages": [[[0.5, 0.5]] * 2, [[0.5, 0.5]] * 6]}})
+        assert run("info", cfg, tmp_path) == 2
+        assert "error: kernel: chain stage 1" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("ny", [1, 2, 3])
     def test_output_alphabet_key_rejected(self, tmp_path, capsys, ny):
         # the output alphabet is the distortion's; 3 used to crash the

@@ -10,7 +10,7 @@ from crdf import (
     compare,
     solve_fixed_s,
 )
-from crdf.oracle import InstanceTooLarge
+from crdf.oracle import InstanceTooLarge, _BatchEvaluator, _batched_descent
 
 UNIFORM2 = FinitePmf.uniform(2)
 
@@ -106,6 +106,31 @@ class TestMultistartOracle:
             r = brute_force_lagrangian(src, dist, s, method="multistart",
                                        budget=40, seed=0)
             assert abs(p.lagrangian() - r.best_value) <= 1e-6
+
+    def test_each_start_runs_its_own_schedule(self):
+        # a batch gives every start the result of that start descending
+        # alone, and about its evaluations: a start is evaluated with its
+        # batch-mates at a shift it cannot make (its mass there is 0), which
+        # alone it skips.  Before each start kept its own step, this batch
+        # cost 18,005 evaluations against 12,964 alone.
+        T = np.array([[0.8, 0.2], [0.2, 0.8]])
+        src = SourceModel.markov(UNIFORM2, T, 1)
+        dist = DistortionModel.hamming(2, 1)
+        rng = np.random.default_rng(3)
+        starts = [0.8 * rng.dirichlet(np.ones(2), size=(5, 2**i, 2 ** (i + 1)))
+                  + 0.1 for i in range(2)]
+        ev = _BatchEvaluator(src, dist, -1.0)
+        vals, stages = _batched_descent(ev, [st.copy() for st in starts])
+        alone = 0
+        for k in range(5):
+            ev1 = _BatchEvaluator(src, dist, -1.0)
+            v1, s1 = _batched_descent(ev1, [st[k:k + 1].copy()
+                                            for st in starts])
+            assert v1[0] == vals[k]
+            for a, b in zip(s1, stages):
+                assert np.array_equal(a[0], b[k])
+            alone += ev1.evaluations
+        assert alone <= ev.evaluations <= 1.01 * alone
 
     def test_horizon_cap(self):
         src = SourceModel.iid(UNIFORM2, 3)

@@ -95,6 +95,24 @@ class TestCausalKernelChain:
         with pytest.raises((ValueError, ShapeError)):
             CausalKernelChain.from_stages([np.ones((1, 2, 2))], 2, 2)
 
+    def test_stage_of_neither_layout_rejected(self):
+        # stage 1 of a ternary-input chain has 3 (x_1) or 9 (x^1) rows
+        stages = [np.full((1, 3, 2), 0.5), np.full((2, 6, 2), 0.5)]
+        with pytest.raises(ShapeError, match="chain stage 1"):
+            CausalKernelChain.from_stages(stages, 3, 2)
+
+    @pytest.mark.parametrize("nx, ny, n", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+    def test_compact_stage_expands_to_its_last_letter(self, nx, ny, n):
+        rng = np.random.default_rng(10 * nx + ny)
+        compact = [rng.dirichlet(np.ones(ny), size=(ny**i, nx))
+                   for i in range(n + 1)]
+        chain = CausalKernelChain.from_stages(compact, nx, ny)
+        for i in range(n + 1):
+            full = chain.stage(i)
+            assert full.shape == (ny**i, nx ** (i + 1), ny)
+            for hx in range(nx ** (i + 1)):
+                assert np.array_equal(full[:, hx], compact[i][:, hx % nx])
+
 
 class TestChainSampler:
     FLIP = [[0.8, 0.2], [0.2, 0.8]]
@@ -117,6 +135,21 @@ class TestChainSampler:
         nu = output_marginal(make_joint(src, chain)).joint
         sigma = np.sqrt(nu * (1 - nu) / draws)
         assert np.all(np.abs(freq - nu) <= 5 * sigma)
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (2, 3)])
+    def test_compact_chain_draws_like_its_expanded_twin(self, nx, ny):
+        n = 3
+        rng = np.random.default_rng(50 + nx + ny)
+        chain = CausalKernelChain.from_stages(
+            [rng.dirichlet(np.ones(ny), size=(ny**i, nx))
+             for i in range(n + 1)], nx, ny)
+        twin = CausalKernelChain.from_stages(
+            [chain.stage(i) for i in range(n + 1)], nx, ny)
+        x = rng.integers(0, nx, size=(2000, n + 1))
+        y = chain.sample(x, np.random.default_rng(9))
+        assert np.array_equal(y, twin.sample(x, np.random.default_rng(9)))
+        assert np.array_equal(chain.conditional_matrix(),
+                              twin.conditional_matrix())
 
     def test_per_letter_chain_builds_no_stage_table(self):
         # stage(63) of a binary chain would have 2^64 rows

@@ -115,6 +115,24 @@ class TestKernelRoundTrip:
         assert np.allclose(back.conditional_matrix(),
                            chain.conditional_matrix(), atol=1e-15)
 
+    def test_compact_chain_keeps_its_layout(self):
+        rng = np.random.default_rng(6)
+        stages = [rng.dirichlet(np.ones(3), size=(3**i, 2)) for i in range(3)]
+        chain = CausalKernelChain.from_stages(stages, 2, 3)
+        d = chain_to_dict(chain)
+        assert [len(rows) for rows in d["stages"]] == [2, 6, 18]
+        back = chain_from_dict(json.loads(json.dumps(d)))
+        for a, b in zip(back.stages, stages):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_stage_of_neither_layout_names_the_chain(self):
+        # 6 rows of stage 1 fit neither x_1 (2 rows) nor x^1 (4 rows)
+        d = {"kind": "stages", "nx": 2, "ny": 2,
+             "stages": [[[0.5, 0.5]] * 2, [[0.5, 0.5]] * 6]}
+        with pytest.raises(ConfigError, match="chain stage 1") as exc:
+            chain_from_dict(d)
+        assert exc.value.field == "chain"
+
     def test_general_kernel(self):
         table = [[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7],
                  [0.25, 0.25, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]]

@@ -24,8 +24,8 @@ from crdf import (
     validate_causal,
     SolverOptions,
 )
-from crdf.information import LOG2E
-from crdf.probability import output_marginal
+from crdf.information import LOG2E, directed_information_of_joint
+from crdf.probability import JointMeasure, output_marginal
 from crdf.sampling import random_chain, random_markov_source, random_pmf
 from crdf.solver import _Workspace
 
@@ -167,8 +167,23 @@ def _source(kind, rng, nx, n):
     return SourceModel.explicit(w, nx, n)
 
 
+def _compact_chain(rng, nx, ny, n):
+    """A random chain whose stage i depends on x^i only through x_i."""
+    return CausalKernelChain.from_stages(
+        [rng.dirichlet(np.ones(ny), size=(ny**i, nx)) for i in range(n + 1)],
+        nx, ny)
+
+
+def _chain_for(ws, rng):
+    """A random chain in the workspace's stage layout."""
+    make = _compact_chain if ws.markov else random_chain
+    return make(rng, ws.nx, ws.ny, ws.n)
+
+
 class TestOutputLawForwardPass:
-    """The solver's forward pass gives the output marginal of make_joint."""
+    """The solver's forward pass gives the output marginal of make_joint;
+    iid and Markov sources take x_i-only chains, explicit ones full-history
+    chains."""
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4])
     @pytest.mark.parametrize("nx, ny", [(3, 2), (2, 3), (2, 2)])
@@ -177,12 +192,89 @@ class TestOutputLawForwardPass:
     def test_matches_make_joint_marginal(self, kind, nx, ny, n):
         rng = np.random.default_rng(1000 * n + 10 * nx + ny)
         src = _source(kind, rng, nx, n)
-        chain = random_chain(rng, nx, ny, n)
         ws = _Workspace(src, DistortionModel.hamming(nx, n, ny=ny), -1.0)
+        assert ws.markov == (kind in ("iid", "markov"))
+        chain = _chain_for(ws, rng)
         nu = ws.output_law(chain.stages)
         expected = output_marginal(make_joint(src, chain)).joint
         assert nu.shape == expected.shape
         assert np.max(np.abs(nu - expected)) <= 1e-15
+
+
+def _table_twin(dist):
+    """The same costs as per-stage tables, which select the full layout."""
+    return DistortionModel.from_tables(
+        [dist.stage_cost(i) for i in range(dist.horizon + 1)], dist.horizon)
+
+
+class TestForwardPassMeasures:
+    """The forward pass's output law, distortion sum and directed
+    information equal those of make_joint, in either stage layout."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    @pytest.mark.parametrize("nx, ny", [(3, 2), (2, 3), (2, 2)])
+    @pytest.mark.parametrize("kind, tables", [
+        ("iid", False), ("markov", False), ("markov", True),
+        ("explicit", False), ("explicit-dead-prefixes", False)])
+    def test_match_the_joint(self, kind, tables, nx, ny, n):
+        rng = np.random.default_rng(7000 + 100 * n + 10 * nx + ny)
+        src = _source(kind, rng, nx, n)
+        costs = rng.uniform(0.0, 2.0, size=(nx, ny))
+        dist = DistortionModel.single_letter(costs, n)
+        if tables:
+            dist = _table_twin(dist)
+        ws = _Workspace(src, dist, -1.0)
+        assert ws.markov == (kind in ("iid", "markov") and not tables)
+        chain = _chain_for(ws, rng)
+        nu, d_sum, info = ws.measures(chain.stages)
+        joint = make_joint(src, chain)
+        assert np.max(np.abs(nu - joint.y_marginal())) <= 1e-15
+        assert abs(d_sum / (n + 1) - average_distortion(joint, dist)) <= 1e-12
+        assert abs(info - directed_information_of_joint(joint)) <= 1e-12
+
+
+class TestMarkovStateLayout:
+    """An iid or Markov source with single-letter costs is solved on x_i-only
+    stages; its full-history twin (the explicit joint pmf and the per-stage
+    cost tables) gives the same solution."""
+
+    @pytest.mark.parametrize("kind", ["iid", "markov"])
+    @pytest.mark.parametrize("nx, ny, n", [
+        (2, 2, 0), (2, 2, 3), (2, 2, 6), (3, 2, 2), (2, 3, 2), (3, 3, 2)])
+    @pytest.mark.parametrize("s", [-1.5, -4.0, -10.0])
+    def test_matches_full_history_twin(self, kind, nx, ny, n, s):
+        rng = np.random.default_rng(9000 + 100 * n + 10 * nx + ny)
+        src = _source(kind, rng, nx, n)
+        # Hamming plus noise: most of these points lie off the zero-rate
+        # interval, where the solve stops after two iterations
+        dist = DistortionModel.single_letter(
+            1.0 - np.eye(nx, ny) + rng.uniform(0.0, 0.5, size=(nx, ny)), n)
+        twin_src = SourceModel.explicit(src.joint_pmf(), nx, n)
+        a = solve_fixed_s(src, dist, s)
+        b = solve_fixed_s(twin_src, _table_twin(dist), s)
+        assert all(q.shape == (ny**i, nx, ny)
+                   for i, q in enumerate(a.chain.stages))
+        assert all(q.shape == (ny**i, nx ** (i + 1), ny)
+                   for i, q in enumerate(b.chain.stages))
+        assert a.iterations == b.iterations
+        assert a.converged == b.converged
+        for field in ("distortion", "rate", "rate_formula"):
+            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12
+        reach = src.joint_pmf() > 0
+        Ka, Kb = a.chain.conditional_matrix(), b.chain.conditional_matrix()
+        assert np.max(np.abs(Ka[reach] - Kb[reach])) <= 1e-12
+
+    def test_solve_forms_no_joint(self, monkeypatch):
+        # n = 8 on a binary Markov source: the joint would have 4^9 cells
+        def refuse(*args, **kwargs):
+            raise AssertionError("a joint measure was formed")
+        monkeypatch.setattr(JointMeasure, "__post_init__", refuse)
+        T = np.array([[0.8, 0.2], [0.2, 0.8]])
+        src = SourceModel.markov(UNIFORM2, T, 8)
+        p = solve_fixed_s(src, DistortionModel.hamming(2, 8), -2.0)
+        assert p.converged
+        assert p.chain.stages[8].shape == (256, 2, 2)
+        assert abs(p.rate - p.rate_formula) <= 1e-7
 
 
 class TestSweep:
@@ -208,7 +300,8 @@ class TestSweep:
             assert p.converged
             assert abs(p.rate - binary_hamming_rdf(p.distortion)) <= 2e-3
 
-    def test_causal_dominates_classical_for_markov(self):
+    def test_causal_dominates_classical_for_markov(self,
+                                                   classical_at_distortion):
         T = np.array([[0.8, 0.2], [0.2, 0.8]])
         src = SourceModel.markov(UNIFORM2, T, 2)
         dist = DistortionModel.hamming(2, 2)
@@ -216,14 +309,7 @@ class TestSweep:
         for s in grid:
             causal = solve_fixed_s(src, dist, s)
             # classical solve at matched D via bisection on the classical curve
-            lo, hi = -60.0, 0.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if classical_ba(src, dist, mid).distortion > causal.distortion:
-                    hi = mid
-                else:
-                    lo = mid
-            classic = classical_ba(src, dist, 0.5 * (lo + hi))
+            classic = classical_at_distortion(src, dist, causal.distortion)
             assert causal.rate >= classic.rate - 1e-9
 
     def test_warm_and_cold_modes_agree(self):
