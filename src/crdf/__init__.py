@@ -26,7 +26,6 @@ from .information import (
 from .distortion import (
     DistortionModel,
     average_distortion,
-    d_max_min_sequence,
     d_max_product,
 )
 from .solver import (
@@ -35,6 +34,7 @@ from .solver import (
     SolverOptions,
     bisect_s_for_distortion,
     classical_ba,
+    d_max_min_sequence,
     default_s_grid,
     gateaux_derivative,
     properties_report,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import serialization as ser
 from .coding import simulate
-from .distortion import d_max_min_sequence, d_max_product
+from .distortion import d_max_product
 from .information import check_causality_equivalence
 from .oracle import brute_force_lagrangian, compare
 from .probability import CausalKernelChain, ShapeError
@@ -26,6 +26,7 @@ from .serialization import ConfigError
 from .solver import (
     RDCurve,
     SolverOptions,
+    d_max_min_sequence,
     default_s_grid,
     properties_report,
     solve_fixed_s,

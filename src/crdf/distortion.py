@@ -1,4 +1,4 @@
-"""Distortion models and the two zero-rate distortion thresholds.
+"""The fidelity criterion: distortion models and averages over joint laws.
 
 A distortion model is either a single-letter cost matrix rho(x, y) applied at
 every stage, or an explicit family of per-stage tables rho_i(x^i, y^i), whose
@@ -6,6 +6,7 @@ shapes it checks against its alphabets (nx, ny).  Every cost is read through
 one evaluator on letter arrays, :meth:`DistortionModel.cost`.  The module
 always reports the normalized average d = (1/(n+1)) * sum_i rho_i; solvers
 that need the unnormalized sum absorb the factor into the Lagrange multiplier.
+D_max over constant sequences and the zero-rate test live in ``solver``.
 """
 from __future__ import annotations
 
@@ -148,56 +149,6 @@ def average_distortion(joint: JointMeasure, dist: DistortionModel) -> float:
         raise ShapeError("joint and distortion horizons or alphabets differ")
     cost = dist.total_cost_matrix()
     return float(np.sum(joint.pmf * cost)) / (joint.horizon + 1)
-
-
-def _min_sequence(mu: np.ndarray, cost: np.ndarray, n: int):
-    """Per-sequence normalized distortion and the index of the best constant
-    reproduction sequence, from the source pmf and total cost matrix."""
-    per_seq = mu @ cost / (n + 1)
-    best = int(np.argmin(per_seq))  # argmin takes the first = lexicographic min
-    return per_seq, best
-
-
-def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
-    """Zero-rate threshold: best deterministic output sequence.
-
-    Exhaustively minimizes the normalized expected distortion over all
-    |Y|**(n+1) constant reproduction sequences; ties break to the
-    lexicographically smallest sequence.  Returns (value, sequence).
-    """
-    dist.check_source(source)
-    per_seq, best = _min_sequence(source.joint_pmf(), dist.total_cost_matrix(),
-                                  source.horizon)
-    letters = ix.to_letters(best, dist.ny, source.horizon + 1)
-    seq = tuple(int(v) for v in letters)
-    return float(per_seq[best]), seq
-
-
-def zero_rate_sequence(source: SourceModel, dist: DistortionModel,
-                       s: float) -> Optional[int]:
-    """Index of the D_max sequence y* if the point mass on it is optimal at s.
-
-    Blahut's (1972) KKT condition for the output law delta_{y*}: with C the
-    total cost over trajectories,
-
-        c_s(y) = sum_x mu(x) exp(s * (C(x, y) - C(x, y*)))  <=  c_s(y*)
-
-    for every y (c_s(y*) = sum mu = 1 up to rounding).  The point mass then
-    attains the classical Lagrangian minimum; it is a constant reproduction,
-    hence causal, and the classical minimum bounds the causal one from below,
-    so it is the causal optimum too, with R = 0 and D = D_max.  Only s < 0 is
-    certified: at s = 0 every output law independent of x is optimal.
-    Returns None when the condition fails.
-    """
-    dist.check_source(source)
-    if s >= 0:
-        return None
-    mu, cost = source.joint_pmf(), dist.total_cost_matrix()
-    _, best = _min_sequence(mu, cost, source.horizon)
-    reach = mu > 0
-    with np.errstate(over="ignore"):   # an overflow is a failed condition
-        c = mu[reach] @ np.exp(s * (cost[reach] - cost[reach, best, None]))
-    return best if float(np.max(c)) <= float(c[best]) else None
 
 
 def d_max_product(source: SourceModel, output: OutputProcess,

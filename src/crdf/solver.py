@@ -31,16 +31,17 @@ is reported next to the directed-information rate as a cross-check.
 
 Zero-rate interval.  For s < 0 both solvers first run Blahut's (1972) KKT
 test for the point mass on y*, the constant sequence that attains D_max
-(``distortion.zero_rate_sequence``, which shows why that point mass is then
-the causal optimum, with R = 0 and D = D_max).  When it holds, the solve
-starts its output law there and the usual loop stops after two iterations.
-s = 0 is left to the uniform start: there every output law independent of x
-is optimal, and the uniform one already converges at once.
+(``_Workspace.zero_rate``, which shows why that point mass is then the
+causal optimum, with R = 0 and D = D_max).  When it holds, the solve starts
+its output law there and the usual loop stops after two iterations.  s = 0
+is left to the uniform start: there every output law independent of x is
+optimal, and the uniform one already converges at once.
 
-Costs.  The tilt tables and the forward pass read the distortion model's
-per-stage matrices; the zero-rate test, D_max and the classical solver read
-its total cost matrix, which the model builds on first use and keeps, so a
-sweep or a bisection builds it once.
+Costs.  A causal solve or sweep reads costs only from the workspace's stage
+tables: the tilt, the forward pass, the zero-rate test and D_max
+(``_Workspace.min_sequence``) never form the (Nx, Ny) total cost matrix.
+Classical Blahut-Arimoto lives on the trajectory alphabet and reads that
+matrix, which the model builds on first use and keeps.
 
 Conventions: s multiplies rho in natural units inside the exponent; all
 reported rates are bits per symbol and all distortions are normalized by
@@ -56,12 +57,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distortion import (
-    DistortionModel,
-    average_distortion,
-    d_max_min_sequence,
-    zero_rate_sequence,
-)
+from . import indexing as ix
+from .distortion import DistortionModel, average_distortion
 from .information import ATOM_FLOOR, LOG2E, mutual_information
 from .probability import (
     CausalKernelChain,
@@ -159,7 +156,7 @@ class _Workspace:
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
         dist.check_source(source)
         n, nx, ny = source.horizon, dist.nx, dist.ny
-        self.n, self.nx, self.ny = n, nx, ny
+        self.n, self.nx, self.ny, self.s = n, nx, ny, s
         self.markov = source.kind in ("iid", "markov") and dist.is_single_letter
         # per stage: rho_i, and the tilt table exp(s*(rho_i - min_{y_i} rho_i))
         # with its shift s*min, in the stage layout; the shift keeps exp from
@@ -197,6 +194,9 @@ class _Workspace:
                 child = prefix[i + 1].reshape(nx ** (i + 1), nx)
                 safe = np.where(parent > 0, parent, 1.0)
                 self.mu_next.append(child / safe[:, None])
+        # mu(x^i) in the stage layout: the forward pass of a one-letter output
+        ones = [np.ones((1, 1, 1))] * (n + 1)
+        self.mass = [m[0] for m in self.prefix_laws(ones)]
 
     def tilt(self, nu_conds):
         """Optimal causal kernel for fixed output conditionals.
@@ -231,28 +231,64 @@ class _Workspace:
         """P(y^{i-1}, x^i) for i = 0..n, laid out as stage i's first two axes
         (x_i alone in the Markov-state layout).
 
-        The forward pass behind the output law and the measures: it never
-        forms the (Nx, Ny) joint.
+        The forward pass behind the output law, the measures and the
+        zero-rate test: linear in each stage, it never forms the joint.
         """
-        ny = self.ny
         laws = [self.mu0[None, :]]
         for i in range(self.n):
             # P(y^{i-1}, x^i, y_i) reordered to (y^i, x^i), then times
             # mu(x_{i+1} | x^i) gives P(y^i, x^{i+1}); in the Markov-state
             # layout the product sums x_i out
             b = (laws[i][:, :, None] * stages[i]).transpose(0, 2, 1)
-            b = b.reshape(ny ** (i + 1), -1)
+            b = b.reshape(-1, b.shape[2])
             if self.markov:
                 laws.append(b @ self.mu_next[i])
             else:
                 laws.append((b[:, :, None] * self.mu_next[i])
-                            .reshape(ny ** (i + 1), -1))
+                            .reshape(len(b), -1))
         return laws
 
     def output_law(self, stages) -> np.ndarray:
         """Output marginal nu(y^n) of the source through a stage chain."""
         a = self.prefix_laws(stages)[-1]
         return (a[:, None, :] @ stages[self.n]).reshape(-1)
+
+    def min_sequence(self) -> tuple:
+        """sum_i E_mu[rho_i(X^i, y^i)] of every sequence y^n, and its first
+        argmin.  Every sum adds the stages in the same order, so exact ties
+        stay exact and the argmin is the lexicographically smallest one."""
+        total = np.zeros(1)
+        for mass, rho in zip(self.mass, self.cost):
+            stage = (mass[:, None] * rho).sum(axis=1)   # (y^{i-1}, y_i)
+            total = (total[:, None] + stage).reshape(-1)
+        return total, int(np.argmin(total))
+
+    def zero_rate(self) -> Optional[int]:
+        """Index of the D_max sequence y* if the point mass on it is optimal.
+
+        Blahut's (1972) KKT condition for delta_{y*}: with C = sum_i rho_i,
+        c_s(y) = sum_x mu(x) exp(s (C(x, y) - C(x, y*))) <= c_s(y*) = 1 for
+        every y.  The point mass then attains the classical Lagrangian
+        minimum; it is constant, hence causal, and the classical minimum
+        bounds the causal one, so it is the causal optimum (R = 0,
+        D = D_max).  c_s is the output law of the stage weights
+        exp(s (rho_i - rho_i(., y*^i))).  Only s < 0 is certified: at s = 0
+        every output law independent of x is optimal.  None if it fails.
+        """
+        if self.s >= 0:
+            return None
+        best = self.min_sequence()[1]
+        y = ix.to_letters(best, self.ny, self.n + 1)
+        weights = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (mass, rho) in enumerate(zip(self.mass, self.cost)):
+                row = 0 if self.markov else ix.from_letters(y[:i], self.ny)
+                w = np.exp(self.s * (rho - rho[row, :, y[i]][:, None]))
+                # a weight may overflow, and where the source has no mass
+                # it must add 0, not 0 * inf = nan
+                weights.append(np.where(mass[:, None] > 0, w, 0.0))
+            c = self.output_law(weights)
+        return best if np.max(c) <= c[best] else None   # fails on inf, nan
 
     def measures(self, stages) -> tuple:
         """nu(y^n), sum_i E[rho_i] and I(X^n -> Y^n) in bits of a stage chain.
@@ -290,7 +326,7 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     ws = _Workspace(source, dist, s)
     n, nx, ny = ws.n, ws.nx, ws.ny
     nu = [np.full((ny**i, ny), 1.0 / ny) for i in range(n + 1)]
-    y_star = zero_rate_sequence(source, dist, s)
+    y_star = ws.zero_rate()
     if y_star is not None:
         # the point mass on y* is optimal: start there and the loop stops
         # after one repeat of the kernel
@@ -327,6 +363,19 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
         iterations=iterations, converged=converged, residual=residual,
         chain=chain, output=output)
+
+
+def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
+    """Zero-rate threshold: best deterministic output sequence.
+
+    Exhaustively minimizes the normalized expected distortion over all
+    |Y|**(n+1) constant reproduction sequences; ties break to the
+    lexicographically smallest sequence.  Returns (value, sequence).
+    """
+    per_seq, best = _Workspace(source, dist, 0.0).min_sequence()
+    letters = ix.to_letters(best, dist.ny, source.horizon + 1)
+    return (float(per_seq[best]) / (source.horizon + 1),
+            tuple(int(v) for v in letters))
 
 
 def default_s_grid() -> list:
@@ -367,7 +416,7 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
-    dist.check_source(source)
+    y_star = _Workspace(source, dist, s).zero_rate()
     n, nx, ny = source.horizon, dist.nx, dist.ny
     mu = source.joint_pmf()
     C = dist.total_cost_matrix()
@@ -376,7 +425,6 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     low = C.min(axis=1)
     E = np.exp(s * (C - low[:, None]))
     Ny = ny ** (n + 1)
-    y_star = zero_rate_sequence(source, dist, s)
     nu = (np.full(Ny, 1.0 / Ny) if y_star is None
           else FinitePmf.point_mass(y_star, Ny).weights)
     q_prev = None

@@ -116,6 +116,7 @@ class TestCostEvaluator:
                                  np.array([[0.8, 0.2], [0.2, 0.8]]), 1)
         dist = DistortionModel.hamming(2, 1)
         sweep(src, dist, [0.0, -0.5, -2.0])
+        assert builds == []  # a causal sweep reads the stage tables only
         lo, hi = -10.0, 0.0
         for _ in range(5):
             mid = 0.5 * (lo + hi)
@@ -154,11 +155,20 @@ class TestAverageDistortion:
 
 
 class TestDmax:
-    def test_min_sequence_uniform_binary(self):
-        src = SourceModel.iid(FinitePmf.uniform(2), 2)
-        val, seq = d_max_min_sequence(src, DistortionModel.hamming(2, 2))
+    # every sequence ties exactly; summing the stages in a different order
+    # for different sequences (as mu @ C does) breaks the ties by rounding
+    @pytest.mark.parametrize("src", [
+        SourceModel.iid(FinitePmf.uniform(2), 2),
+        SourceModel.markov(FinitePmf.uniform(2),
+                           np.array([[0.8, 0.2], [0.2, 0.8]]), 2),
+        SourceModel.markov(FinitePmf.uniform(2),
+                           np.array([[0.8, 0.2], [0.2, 0.8]]), 8),
+    ], ids=["iid-n2", "markov-n2", "markov-n8"])
+    def test_min_sequence_uniform_binary(self, src):
+        n = src.horizon
+        val, seq = d_max_min_sequence(src, DistortionModel.hamming(2, n))
         assert val == pytest.approx(0.5, abs=1e-12)
-        assert seq == (0, 0, 0)   # lexicographically smallest minimizer
+        assert seq == (0,) * (n + 1)   # lexicographically smallest minimizer
 
     def test_min_sequence_biased_binary(self):
         src = SourceModel.iid(FinitePmf([0.2, 0.8]), 1)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -56,32 +55,34 @@ def binary_table_iid():
 
 
 def zero_rate_test(source, dist):
-    """Blahut's test for the D_max point mass, from the letter costs alone.
+    """Blahut's test for the D_max point mass on the trajectory alphabet.
 
-    Returns a function of s that says whether
-    c_s(y) = sum_x mu(x) exp(s (C(x, y) - C(x, y*))) <= c_s(y*) for all y.
+    Returns a function of s < 0 that gives the index of y* = argmin_y mu @ C
+    when c_s(y) = sum_x mu(x) exp(s (C(x, y) - C(x, y*))) <= c_s(y*) for
+    all y, and None otherwise (and at s = 0), with C the total cost matrix;
+    source sequences of zero mass add nothing.
     """
-    nx, ny = dist.letter_costs.shape
-    m = source.horizon + 1
-    xs = np.array(list(itertools.product(range(nx), repeat=m)))
-    ys = np.array(list(itertools.product(range(ny), repeat=m)))
-    C = dist.letter_costs[xs[:, None, :], ys[None, :, :]].sum(axis=2)
+    C = dist.total_cost_matrix()
     mu = source.joint_pmf()
     best = int(np.argmin(mu @ C))
+    reach = mu > 0
 
-    def holds(s):
-        c = mu @ np.exp(s * (C - C[:, [best]]))
-        return c.max() <= c[best]
-    return holds
+    def certified(s):
+        if s >= 0:
+            return None
+        with np.errstate(over="ignore"):
+            c = mu[reach] @ np.exp(s * (C[reach] - C[reach][:, [best]]))
+        return best if c.max() <= c[best] else None
+    return certified
 
 
-def zero_rate_threshold(holds, lo=-20.0):
+def zero_rate_threshold(certified, lo=-20.0):
     """Most negative s < 0 at which the test holds, by bisection."""
     hi = -1e-9
-    assert holds(hi) and not holds(lo)
+    assert certified(hi) is not None and certified(lo) is None
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if holds(mid):
+        if certified(mid) is not None:
             hi = mid
         else:
             lo = mid
@@ -334,6 +335,20 @@ class TestSweep:
             assert abs(a.rate - b.rate) <= 1e-7
             assert abs(a.distortion - b.distortion) <= 1e-7
 
+    def test_long_horizon_builds_no_trajectory_matrix(self, monkeypatch):
+        # n = 12: the (Nx, Ny) cost matrix would take 512 MB
+        def refuse(self):
+            raise AssertionError("the total cost matrix was built")
+        monkeypatch.setattr(DistortionModel, "total_cost_matrix", refuse)
+        T = np.array([[0.8, 0.2], [0.2, 0.8]])
+        src = SourceModel.markov(UNIFORM2, T, 12)
+        curve = sweep(src, DistortionModel.hamming(2, 12),
+                      [0.0, -1.5, -2.0, -4.0])
+        assert curve.d_max_reported == pytest.approx(0.5, abs=1e-12)
+        for p in curve.points:
+            assert p.converged
+            assert 0.0 <= p.distortion <= curve.d_max_reported
+
     def test_distortion_shrinks_as_s_grows_negative(self):
         src = SourceModel.iid(UNIFORM2, 1)
         curve = sweep(src, DistortionModel.hamming(2, 1), default_s_grid())
@@ -362,6 +377,29 @@ class TestZeroRateInterval:
         outside = next(p for p in curve.points if p.s < s_star)
         assert outside.iterations > 2
         assert outside.rate > 0
+
+    @pytest.mark.parametrize("kind", [
+        "iid", "markov", "explicit", "explicit-dead-prefixes"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_workspace_matches_the_trajectory_test(self, kind, seed):
+        rng = np.random.default_rng(7000 + seed)
+        nx, ny, n = (int(v) for v in rng.integers([2, 2, 0], [4, 4, 4]))
+        src = _source(kind, rng, nx, n)
+        # Hamming plus noise keeps a zero-rate interval on the grid
+        dist = DistortionModel.single_letter(
+            1.0 - np.eye(nx, ny) + rng.uniform(0.0, 0.5, size=(nx, ny)), n)
+        if seed % 2:
+            dist = _table_twin(dist)
+        reference = zero_rate_test(src, dist)
+        for s in default_s_grid():
+            assert _Workspace(src, dist, s).zero_rate() == reference(s)
+
+    @pytest.mark.parametrize("s", [-8.0, -20.0])
+    def test_zero_mass_letter_adds_nothing(self, s):
+        # exp(-s * 100) overflows on the letter x = 1, which has no mass
+        src = SourceModel.iid(FinitePmf([1.0, 0.0]), 2)
+        dist = DistortionModel.single_letter(100.0 * (1.0 - np.eye(2)), 2)
+        assert _Workspace(src, dist, s).zero_rate() == 0   # y* = (0, 0, 0)
 
     def test_classical_ba_agrees_inside(self):
         src, dist = binary_table_iid()
