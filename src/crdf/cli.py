@@ -169,9 +169,11 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
             _write_kernels(out_dir, curve)
             return 0
         report = properties_report(curve)
+        dropped = [{"s": s, "reason": reason, "gap": gap}
+                   for s, reason, gap in curve.dropped()]
         _write_json(out_dir, "properties.json",
                     {"schema": ser.SCHEMA, **asdict(report),
-                     "passed": report.passed})
+                     "passed": report.passed, "dropped": dropped})
         return 0 if report.passed else 1
 
     if command == "oracle":

@@ -174,6 +174,7 @@ def point_to_dict(point: RateDistortionPoint) -> dict:
         "iterations": point.iterations,
         "converged": point.converged,
         "residual": point.residual,
+        "gap": point.gap,
     }
     if point.chain is not None:
         out["chain"] = chain_to_dict(point.chain)

@@ -10,8 +10,23 @@ optimal causal chain is the backward-recursive exponential tilt
 
 computed stage by stage from i = n down to 0.  G_i is the expected
 cost-to-go of the later stages; for iid sources it does not depend on y_i
-and the kernel reduces to the stage-wise tilt.  The solver alternates this
-kernel update with the output-marginal update until the kernel stops moving.
+and the kernel reduces to the stage-wise tilt.  A row whose every weight
+nu_i * exp(s * rho_i - G_i) underflows to 0 is normalized as a log-sum-exp
+instead; other rows take the plain path.
+
+Output-law update and stop rule.  Both solvers alternate the kernel update
+with an update of the joint output law nu on Y^n.  With P_Y the output law
+of the kernel tilted at nu and r = P_Y / nu, the update is the Matz &
+Duhamel (2004) natural-gradient step nu <- nu * r^beta, normalized, formed in
+log space; beta = 1 is the plain Blahut-Arimoto step nu <- P_Y.  Blahut's
+(1972) duality bound, carried to the causal problem, certifies the tilted
+kernel: its Lagrangian is within log2(max_y r(y)) / (n+1) bits of the
+optimum, the max taken over the masses of nu that are > 0.  That is the
+point's ``gap``.  beta doubles, up to 256, after each step whose gap strictly
+falls; otherwise the step is replaced by the plain one and beta returns to
+1, and beta is halved while a step would turn a mass that P_Y keeps
+positive into 0 (``_alternate``).  A solve has converged when the kernel
+moves less than ``tol`` and its gap is at most ``tol``.
 
 State layout.  For an iid or Markov source with single-letter costs, q_i
 depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
@@ -74,6 +89,8 @@ from .probability import (
 
 # weight of the uniform law in a warm start (see solve_fixed_s)
 WARM_MIX = 1e-6
+# largest exponent of the natural-gradient step on the output law
+BETA_MAX = 256.0
 
 # properties_report: slack of the monotone, chord and R = 0 tests, and the
 # margin below D_max from which the rate must be positive
@@ -117,6 +134,7 @@ class RateDistortionPoint:
     iterations: int
     converged: bool
     residual: float = math.nan
+    gap: float = math.nan
     chain: Optional[CausalKernelChain] = None
     output: Optional[OutputProcess] = None
 
@@ -135,10 +153,119 @@ class RDCurve:
     def converged_points(self):
         return [p for p in self.points if p.converged]
 
+    def dropped(self):
+        """(s, reason, gap) of each point that converged_points() leaves out."""
+        return [(p.s, "stopped at max_iters", p.gap)
+                for p in self.points if not p.converged]
+
 
 def _max_step(a, b) -> float:
     """Largest entrywise difference between two lists of stage kernels."""
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+
+
+def _normalized(w, log_w) -> tuple:
+    """w normalized over its last axis, and the log of each row's sum.
+
+    A row whose every entry underflowed to 0 sums to 0.  Only then is
+    ``log_w()`` called, and those rows are redone as a log-sum-exp of it, so
+    ordinary rows take the plain path unchanged.
+    """
+    Z = w.sum(axis=-1)
+    if Z.all():
+        return w / Z[..., None], np.log(Z)
+    bad = Z == 0
+    with np.errstate(divide="ignore"):        # log of the zero masses of nu
+        lw = log_w()[bad]
+    top = lw.max(axis=-1)
+    e = np.exp(lw - top[:, None])
+    z = e.sum(axis=-1)
+    Z[bad] = 1.0
+    q, log_z = w / Z[..., None], np.log(Z)
+    q[bad] = e / z[:, None]
+    log_z[bad] = top + np.log(z)
+    return q, log_z
+
+
+def _joint_of(conds) -> np.ndarray:
+    """The law on Y^n whose chain-rule conditionals are ``conds``."""
+    joint = np.ones(1)
+    for c in conds:
+        joint = (joint[:, None] * c).reshape(-1)
+    return joint
+
+
+def _gap(nu, p, n: int) -> float:
+    """Certified gap of the kernel tilted at nu, in bits per symbol.
+
+    With r = P_Y / nu over the masses of nu that are > 0, the kernel's
+    Lagrangian is at most Phi(nu), and L* >= Phi(nu) - log max r (Blahut
+    1972, carried to the causal problem), so the kernel is within
+    log2(max r) / (n+1) of the optimum.  max r >= 1, as P_Y and nu both sum
+    to 1 over that support; rounding below it reads as 0.
+    """
+    live = nu > 0
+    return max(0.0, math.log2(float(np.max(p[live] / nu[live]))) / (n + 1))
+
+
+def _natural_step(nu, p, beta: float) -> tuple:
+    """Candidate output law nu * (p / nu)^beta, normalized, and its beta.
+
+    Matz & Duhamel's (2004) natural-gradient step; beta = 1 is the plain
+    Blahut-Arimoto step and returns p itself.  The product is formed in log
+    space, shifted by its maximum, and beta is halved while the candidate
+    would turn a mass that p keeps positive into 0: a multiplicative update
+    never revives a zero, so such a step would lock onto a face of the
+    simplex.
+    """
+    if beta == 1.0:
+        return p, 1.0
+    live, keep = nu > 0, p > 0
+    with np.errstate(divide="ignore"):            # log 0 where p has no mass
+        log_nu = np.log(nu[live])
+        log_r = np.log(p[live]) - log_nu
+    while beta > 1.0:
+        t = log_nu + beta * log_r
+        cand = np.zeros_like(nu)
+        cand[live] = np.exp(t - t.max())
+        cand /= cand.sum()
+        if cand[keep].all():
+            return cand, beta
+        beta /= 2.0
+    return p, 1.0
+
+
+def _alternate(evaluate, nu, first, n: int, opts: SolverOptions,
+               kernel_step) -> tuple:
+    """Alternating minimization over the output law, safeguarded.
+
+    ``evaluate(nu)`` returns the kernel tilted at the output law nu and the
+    kernel's own output law P_Y; ``first`` is its value at the start nu.
+    Each iteration evaluates one candidate from ``_natural_step``.  A
+    candidate is accepted when its certified gap strictly falls, and beta
+    then doubles, up to BETA_MAX; otherwise the next candidate is the plain
+    step from the last accepted law, with beta = 1.  A plain step is always
+    taken, so with beta = 1 throughout this is the plain Blahut-Arimoto
+    iteration.  The solve has converged when the kernel moves less than
+    ``tol`` and the gap is at most ``tol``.  Returns (kernel, gap,
+    iterations, converged), the kernel being the converged candidate or
+    else the last accepted one.
+    """
+    q, p = first
+    gap = _gap(nu, p, n)
+    beta = 1.0
+    iterations = 1
+    for iterations in range(2, opts.max_iters + 1):
+        cand, used = _natural_step(nu, p, beta)
+        q_new, p_new = evaluate(cand)
+        gap_new = _gap(cand, p_new, n)
+        if kernel_step(q_new, q) < opts.tol and gap_new <= opts.tol:
+            return q_new, gap_new, iterations, True
+        falls = gap_new < gap
+        if falls or used == 1.0:
+            nu, q, p, gap = cand, q_new, p_new, gap_new
+        beta = min(2.0 * used, BETA_MAX) if falls else 1.0
+    return q, gap, iterations, False
 
 
 class _Workspace:
@@ -158,24 +285,15 @@ class _Workspace:
         n, nx, ny = source.horizon, dist.nx, dist.ny
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
         self.markov = source.kind in ("iid", "markov") and dist.is_single_letter
-        # per stage: rho_i, and the tilt table exp(s*(rho_i - min_{y_i} rho_i))
-        # with its shift s*min, in the stage layout; the shift keeps exp from
-        # underflowing to 0 and goes back into V_i, where it is the factor
-        # dropped from Z_i.  The minimum over y_i is taken elementwise across
-        # the ny slices of (x^i, y^{i-1}, y_i), then the axes are swapped:
-        # numpy's reduction over a short last axis is about 30 times slower
-        # at n = 8, and the minimum is exact either way.  In the Markov-state
-        # layout stage 0's tables, (1, nx, ny), serve every stage.
-        tables = []
+        # rho_i per stage in the stage layout; in the Markov-state layout
+        # stage 0's table, (1, nx, ny), serves every stage
+        cost = []
         for i in range(n + 1):
             if i == 0 or not self.markov:
                 rho = dist.stage_cost(i).reshape(nx ** (i + 1), ny**i, ny)
-                low = functools.reduce(np.minimum, np.moveaxis(rho, 2, 0))
-                table = (rho.transpose(1, 0, 2),
-                         np.exp(s * (rho - low[:, :, None])).transpose(1, 0, 2),
-                         (s * low).T)
-            tables.append(table)
-        self.cost, self.exp_cost, self.cost_shift = zip(*tables)
+                table = rho.transpose(1, 0, 2)
+            cost.append(table)
+        self.cost = tuple(cost)
         if self.markov and source.kind == "iid":
             self.mu0 = source.letter.weights
             self.mu_next = [np.tile(self.mu0, (nx, 1))] * n
@@ -198,6 +316,28 @@ class _Workspace:
         ones = [np.ones((1, 1, 1))] * (n + 1)
         self.mass = [m[0] for m in self.prefix_laws(ones)]
 
+    @functools.cached_property
+    def tilt_tables(self) -> tuple:
+        """Per stage, the tilt table exp(s*(rho_i - min_{y_i} rho_i)) and its
+        shift s*min, in the stage layout; built on the first tilt, since the
+        zero-rate test and D_max read only the costs.
+
+        The shift keeps exp from underflowing to 0 and goes back into V_i,
+        where it is the factor dropped from Z_i.  The minimum over y_i is
+        taken elementwise across the ny slices of (x^i, y^{i-1}, y_i), then
+        the axes are swapped: numpy's reduction over a short last axis is
+        about 30 times slower at n = 8, and the minimum is exact either way.
+        """
+        tables = []
+        for i, cost in enumerate(self.cost):
+            if i == 0 or not self.markov:
+                rho = cost.transpose(1, 0, 2)
+                low = functools.reduce(np.minimum, np.moveaxis(rho, 2, 0))
+                table = (np.exp(self.s * (rho - low[:, :, None]))
+                         .transpose(1, 0, 2), (self.s * low).T)
+            tables.append(table)
+        return tuple(zip(*tables))
+
     def tilt(self, nu_conds):
         """Optimal causal kernel for fixed output conditionals.
 
@@ -208,17 +348,20 @@ class _Workspace:
         exceeds 1 and each equals 1 somewhere in every row.
         """
         nx, ny = self.nx, self.ny
+        exp_cost, cost_shift = self.tilt_tables
         stages = [None] * (self.n + 1)
         G = None
+        shift = 0.0
         for i in range(self.n, -1, -1):
-            w = self.exp_cost[i] * nu_conds[i][:, None, :]
-            shift = 0.0
+            w = exp_cost[i] * nu_conds[i][:, None, :]
             if G is not None:
                 shift = G.min(axis=2)
                 w = w * np.exp(shift[:, :, None] - G)
-            Z = w.sum(axis=2)                                 # (y^{i-1}, x^i)
-            stages[i] = w / Z[:, :, None]
-            V = shift - np.log(Z) - self.cost_shift[i]
+            stages[i], log_z = _normalized(w, lambda: (
+                self.s * self.cost[i] - cost_shift[i][:, :, None]
+                + np.log(nu_conds[i])[:, None, :]
+                + (0.0 if G is None else shift[:, :, None] - G)))
+            V = shift - log_z - cost_shift[i]
             if i > 0:
                 # G_{i-1}(x^{i-1}, y^{i-1}) = sum_{x_i} mu(x_i|x^{i-1}) V_i;
                 # in the Markov-state layout V_i has no x^{i-1} axis, and
@@ -319,7 +462,7 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     ``warm_start`` may carry output conditionals from a neighboring solve;
     it is ignored where the zero-rate test certifies the D_max point mass,
     which is then the start.  Non-convergence within ``max_iters`` returns
-    converged=False rather than raising.
+    converged=False, with the gap reached, rather than raising.
     """
     if s > 0:
         raise ValueError("Lagrange multiplier s must be <= 0")
@@ -339,17 +482,13 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         nu = [(1.0 - WARM_MIX) * np.asarray(c, dtype=float) + WARM_MIX * u
               for c, u in zip(warm_start, nu)]
 
-    q_prev = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        q, _ = ws.tilt(nu)
-        if q_prev is not None and _max_step(q, q_prev) < opts.tol:
-            converged = True
-            break
-        nu = _chain_rule_conditionals(ws.output_law(q), ny, n)
-        q_prev = q
+    def evaluate(conds):
+        q, _ = ws.tilt(conds)
+        return q, ws.output_law(q)
 
+    q, gap, iterations, converged = _alternate(
+        lambda law: evaluate(_chain_rule_conditionals(law, ny, n)),
+        _joint_of(nu), evaluate(nu), n, opts, _max_step)
     chain = CausalKernelChain.from_stages(q, nx, ny)
     nu, d_sum, info = ws.measures(q)
     output = OutputProcess(ny=ny, horizon=n, joint=nu)
@@ -362,7 +501,7 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     return RateDistortionPoint(
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
         iterations=iterations, converged=converged, residual=residual,
-        chain=chain, output=output)
+        gap=gap, chain=chain, output=output)
 
 
 def d_max_min_sequence(source: SourceModel, dist: DistortionModel):
@@ -423,35 +562,36 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     # rows shifted by their minimum so exp cannot underflow to 0; the factor
     # exp(s*low) cancels in q and goes back into Z in the rate formula
     low = C.min(axis=1)
-    E = np.exp(s * (C - low[:, None]))
+    log_e = s * (C - low[:, None])
+    E = np.exp(log_e)
     Ny = ny ** (n + 1)
     nu = (np.full(Ny, 1.0 / Ny) if y_star is None
           else FinitePmf.point_mass(y_star, Ny).weights)
-    q_prev = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        q = E * nu[None, :]
-        q /= q.sum(axis=1, keepdims=True)
-        if q_prev is not None and float(np.max(np.abs(q - q_prev))) < opts.tol:
-            converged = True
-            break
-        nu = mu @ q
-        q_prev = q
+
+    def kernel(law):
+        return _normalized(E * law[None, :],
+                           lambda: log_e + np.log(law)[None, :])
+
+    def evaluate(law):
+        q, _ = kernel(law)
+        return q, mu @ q
+
+    q, gap, iterations, converged = _alternate(
+        evaluate, nu, evaluate(nu), n, opts,
+        lambda a, b: float(np.max(np.abs(a - b))))
     nu_final = mu @ q
-    q_next = E * nu_final[None, :]
-    q_next /= q_next.sum(axis=1, keepdims=True)
+    q_next, log_z = kernel(nu_final)
     residual = float(np.max(np.abs(q_next - q)))
 
     joint = JointMeasure(nx=nx, ny=ny, horizon=n, pmf=mu[:, None] * q)
     d_norm = average_distortion(joint, dist)
     rate = mutual_information(joint) / (n + 1)
-    Z = (E * nu_final[None, :]).sum(axis=1)
-    log2_z = np.log2(Z) + s * LOG2E * low
+    log2_z = LOG2E * (log_z + s * low)
     formula = s * LOG2E * d_norm - float(mu @ log2_z) / (n + 1)
     return RateDistortionPoint(
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
-        iterations=iterations, converged=converged, residual=residual)
+        iterations=iterations, converged=converged, residual=residual,
+        gap=gap)
 
 
 def gateaux_derivative(source: SourceModel, q0: Kernel, q1: Kernel) -> float:

@@ -254,6 +254,22 @@ class TestCriterion7:
                          "for the binary Markov source", ok)
 
 
+class TestDroppedPoints:
+    def test_every_dropped_point_reports_its_gap(self, matrix_curves):
+        # the plain iteration with a kernel-step stop dropped 19 of these
+        # 41 points; those left lie next to s = 0, where the problem is
+        # ill-conditioned, and are still known to within 1e-6 bits
+        _, _, curve = matrix_curves["mkv2-ham-n2"]
+        dropped = curve.dropped()
+        assert len(dropped) == (len(curve.points)
+                                - len(curve.converged_points()))
+        assert len(dropped) <= 10
+        for s, reason, gap in dropped:
+            assert abs(s) < 0.01
+            assert reason == "stopped at max_iters"
+            assert 0.0 <= gap <= 1e-6
+
+
 @pytest.fixture(scope="module")
 def quarter_chain_letter_kernel():
     """Single-stage kernel achieving D = 0.25, lifted per horizon."""

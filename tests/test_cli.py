@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crdf.cli import main
+from crdf.information import LOG2E
 from crdf.serialization import chain_from_dict, output_from_dict
 
 BASE = {
@@ -33,6 +34,12 @@ class TestSolve:
         assert point["s"] == -2.0
         assert 0.0 < point["distortion"] < 0.5
         assert "chain" in point and "output" in point
+
+    def test_point_json_carries_the_certified_gap(self, tmp_path):
+        cfg = write_config(tmp_path, {"solver": {"s": -2.0}})
+        assert run("solve", cfg, tmp_path) == 0
+        point = json.loads((tmp_path / "point.json").read_text())
+        assert point["converged"] and 0.0 <= point["gap"] <= 1e-9
 
     def test_missing_s_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"solver": {}})
@@ -70,6 +77,20 @@ class TestSweepAndProperties:
         assert run("properties", cfg, tmp_path) == 0
         rep = json.loads((tmp_path / "properties.json").read_text())
         assert rep["passed"]
+
+    def test_properties_lists_dropped_points(self, tmp_path):
+        # s >= -ln 9 lies in the zero-rate interval and converges in two
+        # iterations; -4 and -8 stop at max_iters
+        cfg = write_config(tmp_path, {
+            "source": {"kind": "iid", "horizon": 1, "letter": [0.9, 0.1]},
+            "solver": {"s_grid": [-8.0, -4.0, -2.0, -1.0, -0.5, 0.0],
+                       "max_iters": 3}})
+        assert run("properties", cfg, tmp_path) == 0
+        rep = json.loads((tmp_path / "properties.json").read_text())
+        assert rep["num_points"] == 4
+        assert [d["s"] for d in rep["dropped"]] == [-4.0, -8.0]
+        for d in rep["dropped"]:
+            assert d["reason"] == "stopped at max_iters" and d["gap"] > 0.0
 
     @pytest.mark.parametrize("command", ["sweep", "properties"])
     def test_unknown_mode_rejected(self, tmp_path, command):
@@ -121,6 +142,22 @@ class TestKernelsFile:
         assert run("sweep", cfg, tmp_path / "b") == 0
         assert ((tmp_path / "b" / "kernels.json").read_bytes()
                 == text.encode())
+
+    def test_every_point_converges_without_losing_support(self, tmp_path):
+        # a step that let a mass the output law keeps underflow to 0 would
+        # lock the solve onto a face of the simplex, at a higher Lagrangian;
+        # the bounds are those of the plain iteration, which stops at
+        # max_iters at s = -0.3
+        bound = {0.0: 0.0, -0.3: 0.1729984358, -1.0: 0.5081764634,
+                 -3.0: 0.8142106476}
+        cfg = write_config(tmp_path, self.MARKOV)
+        assert run("sweep", cfg, tmp_path) == 0
+        kernels = json.loads((tmp_path / "kernels.json").read_text())
+        for p in kernels["points"]:
+            assert p["converged"]
+            assert 0.0 <= p["gap"] <= 1e-9
+            lagrangian = p["rate"] - p["s"] * LOG2E * p["distortion"]
+            assert lagrangian <= bound[p["s"]] + 1e-9
 
 
 class TestOracle:

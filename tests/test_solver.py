@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from crdf import (
 from crdf.information import LOG2E, directed_information_of_joint
 from crdf.probability import JointMeasure, output_marginal
 from crdf.sampling import random_chain, random_markov_source, random_pmf
-from crdf.solver import _Workspace
+from crdf.solver import _Workspace, _natural_step, _normalized
 
 UNIFORM2 = FinitePmf.uniform(2)
 
@@ -401,6 +402,12 @@ class TestZeroRateInterval:
         dist = DistortionModel.single_letter(100.0 * (1.0 - np.eye(2)), 2)
         assert _Workspace(src, dist, s).zero_rate() == 0   # y* = (0, 0, 0)
 
+    def test_zero_rate_test_builds_no_tilt_tables(self):
+        src, dist = binary_table_iid()
+        ws = _Workspace(src, dist, -1.0)
+        assert ws.zero_rate() is not None
+        assert "tilt_tables" not in vars(ws)
+
     def test_classical_ba_agrees_inside(self):
         src, dist = binary_table_iid()
         for s in (-0.01, -0.5, -2.5):
@@ -459,6 +466,50 @@ class TestCostShift:
         assert hi.distortion == pytest.approx(lo.distortion + 20.0, abs=1e-12)
         assert hi.rate_formula == pytest.approx(lo.rate_formula, abs=1e-9)
         assert hi.rate == pytest.approx(hi.rate_formula, abs=1e-9)
+
+
+class TestUnderflowedRows:
+    """With pmf [1, 0], costs 100 (1 - I), n = 2 and s = -20, the product
+    of an output mass and exp(s * rho) underflows to 0 on every y in the
+    rows of x = 1, which the source never emits.  Those rows are normalized
+    in log space; they used to divide 0 by 0."""
+
+    @pytest.mark.parametrize("solve", [solve_fixed_s, classical_ba])
+    def test_both_solvers_return_finite_values(self, solve):
+        src = SourceModel.iid(FinitePmf([1.0, 0.0]), 2)
+        dist = DistortionModel.single_letter(100.0 * (1.0 - np.eye(2)), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = solve(src, dist, -20.0)
+        assert p.converged
+        assert all(math.isfinite(v) for v in (
+            p.rate, p.distortion, p.rate_formula, p.residual, p.gap))
+        assert abs(p.rate) <= 1e-12 and abs(p.distortion) <= 1e-12
+
+    def test_log_sum_exp_only_on_rows_that_sum_to_zero(self):
+        w = np.array([[0.25, 0.75], [0.0, 0.0]])
+        log_w = np.array([[-9.0, -9.0], [-800.0, -801.0]])
+        q, log_z = _normalized(w, lambda: log_w)
+        assert np.array_equal(q[0], [0.25, 0.75]) and log_z[0] == 0.0
+        e = math.exp(-1.0)
+        assert q[1] == pytest.approx([1 / (1 + e), e / (1 + e)], abs=1e-15)
+        assert log_z[1] == pytest.approx(-800.0 + math.log1p(e), abs=1e-12)
+
+
+class TestSafeguardedStep:
+    def test_plain_step_is_the_output_law(self):
+        nu, p = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        cand, beta = _natural_step(nu, p, 1.0)
+        assert cand is p and beta == 1.0
+
+    def test_beta_halves_until_no_mass_underflows(self):
+        # nu * (p / nu)^beta is 1e-200 * 1e-2^beta on the small mass: 0 for
+        # beta >= 64, positive at 32
+        nu = np.array([1.0 - 1e-200, 1e-200])
+        p = np.array([1.0 - 1e-202, 1e-202])
+        cand, beta = _natural_step(nu, p, 256.0)
+        assert beta == 32.0
+        assert np.all(cand > 0) and abs(cand.sum() - 1.0) <= 1e-15
 
 
 class TestGateaux:

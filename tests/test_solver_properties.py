@@ -11,7 +11,13 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from crdf import DistortionModel, classical_ba, d_max_min_sequence, solve_fixed_s
+from crdf import (
+    DistortionModel,
+    SolverOptions,
+    classical_ba,
+    d_max_min_sequence,
+    solve_fixed_s,
+)
 from crdf.sampling import random_iid_source, random_markov_source
 
 
@@ -70,3 +76,15 @@ def test_solutions_are_finite_bounded_dominant_and_repeatable(instance):
             == (p.rate, p.distortion, p.rate_formula, p.iterations))
     assert all(np.array_equal(a, b)
                for a, b in zip(again.chain.stages, p.chain.stages))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(instances())
+def test_a_converged_point_is_certified_within_tol(instance):
+    source, dist, s = instance
+    opts = SolverOptions()
+    for p in (solve_fixed_s(source, dist, s, opts),
+              classical_ba(source, dist, s, opts)):
+        assert math.isfinite(p.gap) and p.gap >= 0.0
+        if p.converged:
+            assert p.gap <= opts.tol
