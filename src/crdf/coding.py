@@ -5,12 +5,19 @@ random codebooks drawn from the output law nu, and a block-causal
 minimum-distortion encoder.  nu is the law of Y when a source block passes
 through the causal chain, so a codeword is one source block pushed through
 :meth:`CausalKernelChain.sample`; Monte Carlo typicality draws its pairs
-the same way.  Typicality probabilities are probabilities of the joint law
+the same way, and computes their densities and costs a row block at a
+time.  Typicality probabilities are probabilities of the joint law
 of (source, chain), never fractions of sampled blocks.  They are exact by
 full enumeration for stage chains, table distortions and small pair spaces,
 exact by a multinomial count recursion for per-letter chains over iid
 sources (any horizon), and Monte Carlo with reported standard errors
 otherwise.
+
+The coding trials run as array passes: trial t draws its uniforms from its
+own generator, seeded by (seed, t), one pass of
+:meth:`SourceModel.from_uniforms` turns all of them into source blocks, and
+:meth:`DistortionModel.min_cost` encodes a block of trials against the whole
+codebook at a time, so the (trials, codewords) table never exists.
 
 Membership conventions (single normalization, block length = n+1 symbols):
 
@@ -33,6 +40,7 @@ from .probability import (
     JointMeasure,
     ShapeError,
     SourceModel,
+    row_blocks,
 )
 
 EXACT_PAIR_CAP = 10**7
@@ -61,8 +69,9 @@ class TypicalitySpec:
     dist: DistortionModel
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got "
+                             f"{self.epsilon}")
         if not (self.source.horizon == self.chain.horizon
                 == self.dist.horizon == self.horizon):
             raise ShapeError("spec horizons disagree")
@@ -182,9 +191,14 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
     W = spec.chain.letter_kernel
     x = spec.source.sample(samples, rng)
     y = spec.chain.sample(x, rng)
-    lam = (np.log2(W[x, y]).sum(axis=1)
-           - _forward_output_logprob(spec.source, W, y)) / m
-    d = spec.dist.cost(x, y) / m
+    # densities and costs a row block at a time: their gathers stay small
+    lam = np.empty(samples)
+    d = np.empty(samples)
+    for blk in row_blocks(samples, m):
+        xb, yb = x[blk], y[blk]
+        lam[blk] = (np.log2(W[xb, yb]).sum(axis=1)
+                    - _forward_output_logprob(spec.source, W, yb)) / m
+        d[blk] = spec.dist.cost(xb, yb) / m
     # references are the sample means; exact values are unavailable here
     in_t = np.abs(lam - lam.mean()) < spec.epsilon
     in_d = np.abs(d - d.mean()) < spec.epsilon
@@ -238,14 +252,18 @@ def generate_codebook(source: SourceModel, chain: CausalKernelChain,
     """Draw ceil(2^((n+1)R)) codewords iid from the output law nu of the
     source and chain, each a source block passed through the chain;
     deterministic per seed."""
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and >= 0, got {rate}")
     if source.horizon != chain.horizon or source.alphabet != chain.nx:
         raise ShapeError("source and chain horizons or X-alphabets differ")
-    count = codebook_size(rate, chain.horizon)
-    if count > CODEBOOK_CAP:
+    # compared as exponents: 2^((n+1)R) overflows a float long before R is
+    # absurd
+    bits = (chain.horizon + 1) * rate
+    if bits > math.log2(CODEBOOK_CAP):
         raise CodebookTooLarge(
-            f"codebook of {count} codewords exceeds the cap of {CODEBOOK_CAP}")
+            f"rate {rate} at horizon {chain.horizon} asks for 2^{bits:g} "
+            f"codewords, above the cap of {CODEBOOK_CAP}")
+    count = codebook_size(rate, chain.horizon)
     rng = np.random.default_rng(seed)
     words = chain.sample(source.sample(count, rng), rng)
     words.setflags(write=False)
@@ -282,11 +300,17 @@ def simulate(source: SourceModel, dist: DistortionModel,
 
     The codebook comes from :func:`generate_codebook`: source blocks passed
     through the chain.  Each trial samples a source block, encodes it to the
-    codeword of minimum average distortion (ties to the lowest index), and
-    records the achieved distortion.  Trial t's source block depends only
-    on (seed, t).  The typicality fields are the probabilities of the joint
-    law from :func:`typicality_probability`, not fractions of the trials,
-    and ``target_d`` defaults to that law's mean distortion.
+    codeword of minimum average distortion, and records the achieved
+    distortion.  Trial t's source block depends only on (seed, t): it reads
+    ``default_rng([seed, t]).random(k)``, the k = ``source.block_uniforms``
+    doubles that ``source.sample(1, .)`` reads, and one pass of
+    :meth:`SourceModel.from_uniforms` maps every trial's uniforms to its
+    block, as that call would.  The encoder is
+    :meth:`DistortionModel.min_cost`, which takes a block of trials against
+    the whole codebook at a time.  The typicality fields are the
+    probabilities of the joint law from :func:`typicality_probability`, not
+    fractions of the trials, and ``target_d`` defaults to that law's mean
+    distortion.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -294,14 +318,13 @@ def simulate(source: SourceModel, dist: DistortionModel,
     spec = TypicalitySpec(epsilon, n, source, chain, dist)
     book = generate_codebook(source, chain, rate, seed)
 
-    xs = np.empty((trials, n + 1), dtype=np.int64)
+    k = source.block_uniforms
+    u = np.empty((trials, k))
     for t in range(trials):
-        xs[t] = source.sample(1, np.random.default_rng([seed, t]))[0]
+        u[t] = np.random.default_rng([seed, t]).random(k)
+    xs = source.from_uniforms(u)
 
-    # average distortion of every trial against every codeword, summed one
-    # (trials, codewords) slice per stage
-    table = dist.cost(xs[:, None], book.codewords[None]) / (n + 1)
-    per_trial = table.min(axis=1)
+    per_trial = dist.min_cost(xs, book.codewords) / (n + 1)
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 

@@ -3,8 +3,10 @@
 A distortion model is either a single-letter cost matrix rho(x, y) applied at
 every stage, or an explicit family of per-stage tables rho_i(x^i, y^i), whose
 shapes it checks against its alphabets (nx, ny).  Every cost is read through
-one evaluator on letter arrays, :meth:`DistortionModel.cost`.  The module
-always reports the normalized average d = (1/(n+1)) * sum_i rho_i; solvers
+one evaluator on letter arrays, :meth:`DistortionModel.cost`, which gathers
+whole rows of a single-letter cost matrix when it evaluates all pairs of two
+sets of blocks; the block encoder :meth:`DistortionModel.min_cost` calls it
+one block of rows at a time.  The module always reports the normalized average d = (1/(n+1)) * sum_i rho_i; solvers
 that need the unnormalized sum absorb the factor into the Lagrange multiplier.
 D_max over constant sequences and the zero-rate test live in ``solver``.
 """
@@ -23,6 +25,7 @@ from .probability import (
     SourceModel,
     _frozen_array,
     product_measure,
+    row_blocks,
 )
 
 
@@ -92,13 +95,22 @@ class DistortionModel:
 
         ``x`` and ``y`` are letter arrays of shape (..., k) that broadcast
         against each other, with k = stage+1 (or n+1 for the sum); the
-        result has their broadcast shape without the last axis.  Stages are
-        added in place, so a sum holds two arrays of that shape at once.
+        result has their broadcast shape without the last axis.  In the
+        all-pairs case, ``x`` of shape (A, 1, k) against ``y`` of shape
+        (1, B, k), a single-letter stage gathers whole rows: the columns
+        that y picks, then the rows that x picks; a table stage is one
+        (A, B) gather by prefix indices either way.  Stages are added in
+        place and in order, so a sum holds two arrays of that shape at once
+        and is the same to the bit by either gather.
         """
+        pairs = (x.ndim == y.ndim == 3 and x.shape[1] == 1
+                 and y.shape[0] == 1)
         stages = range(self.horizon + 1) if stage is None else (stage,)
         total = None
         for i in stages:
-            if self.is_single_letter:
+            if self.is_single_letter and pairs:
+                c = self.letter_costs.take(y[0, :, i], axis=1)[x[:, 0, i]]
+            elif self.is_single_letter:
                 c = self.letter_costs[x[..., i], y[..., i]]
             else:
                 c = self.tables[i][ix.from_letters(x[..., :i + 1], self.nx),
@@ -109,6 +121,19 @@ class DistortionModel:
                 total += c
             del c                # or it outlives the next stage's gather
         return total
+
+    def min_cost(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """min over the rows of ``y`` of sum_i rho_i(x, y), for each row of
+        ``x``; both are (num, n+1) letter arrays.
+
+        The all-pairs sums are taken for a block of rows of ``x`` at a time,
+        about BLOCK_CELLS cells each, so the (len(x), len(y)) table is
+        never held whole.
+        """
+        out = np.empty(len(x))
+        for blk in row_blocks(len(x), len(y)):
+            out[blk] = self.cost(x[blk][:, None], y[None]).min(axis=1)
+        return out
 
     def _all_pairs(self, length: int):
         """Letters of every (x^k, y^k) pair, k = ``length``, as (Nx, 1, k)

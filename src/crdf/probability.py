@@ -24,6 +24,9 @@ from . import indexing as ix
 
 PMF_ATOL = 1e-9
 UNREACHABLE_MASS = 1e-15
+# cells that a blocked pass (sampling, Monte Carlo typicality, the block
+# encoder) holds at once; larger arrays go in row blocks of about this size
+BLOCK_CELLS = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -65,6 +68,27 @@ class FinitePmf:
         w = np.zeros(size)
         w[symbol] = 1.0
         return FinitePmf(w)
+
+
+def _choice_letters(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Letter of each uniform in ``u`` by ``Generator.choice``'s mapping:
+    the number of entries <= u of the cdf ``cumsum(p)``, divided by its
+    last entry.  ``p`` is one pmf for every uniform, or one pmf row per
+    uniform (shape ``u.shape + (a,)``).
+    """
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    if cdf.ndim == 1:
+        return cdf.searchsorted(u, side="right")
+    return (cdf <= u[..., None]).sum(axis=-1)
+
+
+def row_blocks(num: int, width: int):
+    """Slices of ``num`` rows, each block holding about BLOCK_CELLS cells
+    of ``width`` columns."""
+    rows = max(1, BLOCK_CELLS // width)
+    for start in range(0, num, rows):
+        yield slice(start, min(start + rows, num))
 
 
 def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
@@ -152,23 +176,28 @@ class CausalKernelChain:
 
         y_i is drawn from q_i(. | y^{i-1}, x^i) stage by stage; a per-letter
         chain reads its rows from ``letter_kernel`` and a compact stage at
-        (y^{i-1}, x_i), so a per-letter chain costs O(n).
+        (y^{i-1}, x_i), so a per-letter chain costs O(n).  The uniforms are
+        drawn ``rng.random((b, n+1))`` a row block at a time, which reads
+        the same doubles as one draw of them all.
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.horizon + 1:
             raise ShapeError(f"source blocks of shape {x.shape}, expected "
                              f"(num, {self.horizon + 1})")
-        u = rng.random(x.shape)      # all uniforms first: one fixed stream
         y = np.empty(x.shape, dtype=np.int64)
-        for i in range(self.horizon + 1):
-            if self.is_memoryless:
-                rows = self.letter_kernel[x[:, i]]
-            else:
-                hx = (ix.from_letters(x[:, :i + 1], self.nx)
-                      if self._full_history(i) else x[:, i])
-                rows = self.stages[i][ix.from_letters(y[:, :i], self.ny), hx]
-            draw = (u[:, i, None] > np.cumsum(rows, axis=1)).sum(axis=1)
-            y[:, i] = np.minimum(draw, self.ny - 1)
+        for blk in row_blocks(*x.shape):
+            xb, yb = x[blk], y[blk]
+            u = rng.random(xb.shape)     # all uniforms first: one fixed stream
+            for i in range(self.horizon + 1):
+                if self.is_memoryless:
+                    rows = self.letter_kernel[xb[:, i]]
+                else:
+                    hx = (ix.from_letters(xb[:, :i + 1], self.nx)
+                          if self._full_history(i) else xb[:, i])
+                    rows = self.stages[i][ix.from_letters(yb[:, :i], self.ny),
+                                          hx]
+                draw = (u[:, i, None] > np.cumsum(rows, axis=1)).sum(axis=1)
+                yb[:, i] = np.minimum(draw, self.ny - 1)
         return y
 
     def conditional_matrix(self) -> np.ndarray:
@@ -271,22 +300,54 @@ class SourceModel:
                 w *= self.transition[letters[:, i - 1], letters[:, i]]
         return w
 
-    def sample(self, num: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw trajectories as a (num, n+1) letter array."""
+    @property
+    def block_uniforms(self) -> int:
+        """Uniform doubles that one block consumes: one per letter, or one
+        for the whole block of an explicit source."""
+        return 1 if self.kind == "explicit" else self.horizon + 1
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Blocks of letters, a (num, n+1) array, from a (num,
+        block_uniforms) array of uniforms.
+
+        Each letter (an explicit source's whole block) is
+        ``Generator.choice``'s draw for its uniform, over the letter pmf
+        (iid), the initial pmf and then the transition row of the previous
+        letter (Markov), or the joint pmf (explicit).
+        """
         n, a = self.horizon, self.alphabet
         if self.kind == "iid":
-            return rng.choice(a, size=(num, n + 1), p=self.letter.weights)
-        if self.kind == "markov":
-            out = np.empty((num, n + 1), dtype=np.int64)
-            out[:, 0] = rng.choice(a, size=num, p=self.initial.weights)
-            u = rng.random((num, n))
-            cum = np.cumsum(self.transition, axis=1)
-            for i in range(1, n + 1):
-                out[:, i] = (u[:, i - 1, None] > cum[out[:, i - 1]]).sum(axis=1)
-            return out
-        idx = rng.choice(len(self.joint_weights), size=num,
-                         p=self.joint_weights)
-        return ix.to_letters(idx, a, n + 1)
+            return _choice_letters(self.letter.weights, u)
+        if self.kind == "explicit":
+            idx = _choice_letters(self.joint_weights, u[:, 0])
+            return ix.to_letters(idx, a, n + 1)
+        out = np.empty(u.shape, dtype=np.int64)
+        out[:, 0] = _choice_letters(self.initial.weights, u[:, 0])
+        for i in range(1, n + 1):
+            out[:, i] = _choice_letters(self.transition[out[:, i - 1]],
+                                        u[:, i])
+        return out
+
+    def sample(self, num: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw trajectories as a (num, n+1) letter array.
+
+        The stream is that of ``Generator.choice``: an iid source reads
+        ``rng.random((num, n+1))``, a Markov source ``rng.random(num)`` for
+        its first letters and then ``rng.random((num, n))``, and an explicit
+        source ``rng.random(num)``.  Both iid and Markov draws are taken a
+        row block at a time, which reads the same doubles.
+        """
+        n = self.horizon
+        if self.kind == "explicit":
+            return self.from_uniforms(rng.random((num, 1)))
+        first = rng.random(num) if self.kind == "markov" else None
+        out = np.empty((num, n + 1), dtype=np.int64)
+        for blk in row_blocks(num, n + 1):
+            rows = blk.stop - blk.start
+            u = (rng.random((rows, n + 1)) if first is None else
+                 np.column_stack((first[blk], rng.random((rows, n)))))
+            out[blk] = self.from_uniforms(u)
+        return out
 
 
 @dataclass(frozen=True)

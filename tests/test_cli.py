@@ -234,6 +234,21 @@ class TestSimulate:
         assert "trials" in capsys.readouterr().err
         assert not (tmp_path / "sim_report.json").exists()
 
+    @pytest.mark.parametrize("sim, word", [
+        ({"rate": 1000.0, "epsilon": 0.1}, "cap"),
+        ({"rate": float("nan"), "epsilon": 0.1}, "rate"),
+        ({"rate": 0.5, "epsilon": float("nan")}, "epsilon")])
+    def test_bad_rate_or_epsilon_exits_two(self, tmp_path, capsys, sim, word):
+        # rate 1000 at n = 1 overflows 2^((n+1)R); NaN passes "< 0" tests
+        cfg = write_config(tmp_path, {
+            "kernel": {"kind": "memoryless", "horizon": 1,
+                       "letter_kernel": [[0.75, 0.25], [0.25, 0.75]]},
+            "sim": {"trials": 20, **sim},
+        })
+        assert run("simulate", cfg, tmp_path) == 2
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "sim_report.json").exists()
+
     def test_missing_sim_field(self, tmp_path):
         cfg = write_config(tmp_path, {
             "solver": {"s": -2.0},

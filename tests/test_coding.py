@@ -16,7 +16,9 @@ from crdf import (
     typicality_probability,
 )
 from crdf import coding
+from crdf import probability
 from crdf.coding import CodebookTooLarge, codebook_size
+from crdf.sampling import random_chain, random_markov_source, random_pmf
 
 # letter kernel achieving D = 0.25 for the uniform binary source under
 # Hamming distortion (crossover equals target distortion)
@@ -49,6 +51,51 @@ def binomial_typicality_oracle(n, epsilon):
         if dev < epsilon:
             p_dist += w
     return p_info, p_dist
+
+
+def all_pairs_min(dist, xs, words):
+    """Each trial's least total cost over the codebook, read from the whole
+    (trials, codewords) table; full-shape letter arrays take the
+    element-by-element gather of DistortionModel.cost."""
+    x, y = np.broadcast_arrays(xs[:, None], words[None])
+    return dist.cost(x, y).min(axis=1)
+
+
+def reference_simulation(src, dist, chain, rate, trials, seed):
+    """Mean and standard error of the encoded distortion, with each trial's
+    block drawn by its own ``source.sample(1, .)`` call and the whole
+    normalized (trials, codewords) table built at once."""
+    n = src.horizon
+    words = generate_codebook(src, chain, rate, seed).codewords
+    xs = np.array([src.sample(1, np.random.default_rng([seed, t]))[0]
+                   for t in range(trials)])
+    x, y = np.broadcast_arrays(xs[:, None], words[None])
+    per_trial = (dist.cost(x, y) / (n + 1)).min(axis=1)
+    return (float(per_trial.mean()),
+            float(per_trial.std(ddof=1) / math.sqrt(trials)))
+
+
+def coding_case(kind, n, rng):
+    """(source, distortion, chain) of one kind of coding problem."""
+    if kind == "iid-hamming":
+        return (SourceModel.iid(FinitePmf([0.3, 0.7]), n),
+                DistortionModel.hamming(2, n),
+                CausalKernelChain.memoryless(W_QUARTER, n))
+    if kind == "markov-real":
+        return (random_markov_source(rng, 3, n),
+                DistortionModel.single_letter(2.5 * rng.random((3, 2)), n),
+                random_chain(rng, 3, 2, n))
+    if kind == "explicit-table":
+        return (SourceModel.explicit(random_pmf(rng, 2 ** (n + 1)).weights,
+                                     2, n),
+                DistortionModel.from_tables(
+                    [rng.random((2 ** (i + 1), 2 ** (i + 1)))
+                     for i in range(n + 1)], n),
+                CausalKernelChain.memoryless(W_QUARTER, n))
+    raise ValueError(kind)
+
+
+CODING_KINDS = ("iid-hamming", "markov-real", "explicit-table")
 
 
 class TestTypicality:
@@ -136,6 +183,18 @@ class TestTypicality:
         res = typicality_probability(markov, mc_samples=2000, seed=1)
         assert res.method == "monte_carlo"
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # NaN passes an "epsilon <= 0" test and would make nothing typical
+        src = SourceModel.iid(FinitePmf.uniform(2), 1)
+        chain = CausalKernelChain.memoryless(W_QUARTER, 1)
+        dist = DistortionModel.hamming(2, 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            TypicalitySpec(epsilon=epsilon, horizon=1, source=src,
+                           chain=chain, dist=dist)
+        with pytest.raises(ValueError, match="epsilon"):
+            simulate(src, dist, chain, 0.5, 10, epsilon, 0)
+
     def test_bad_epsilon_and_horizon_rejected(self):
         src = SourceModel.iid(FinitePmf.uniform(2), 1)
         chain = CausalKernelChain.memoryless(W_QUARTER, 1)
@@ -184,6 +243,22 @@ class TestCodebook:
         src, chain = self.bsc(1)
         with pytest.raises(ValueError):
             generate_codebook(src, chain, -0.1, seed=0)
+
+    def test_rate_too_large_to_exponentiate_hits_the_cap(self):
+        # 2^(2 * 1000) overflows a float; the cap is compared in bits
+        src, chain = self.bsc(1)
+        with pytest.raises(CodebookTooLarge):
+            generate_codebook(src, chain, 1000.0, seed=0)
+        with pytest.raises(CodebookTooLarge):
+            generate_codebook(src, chain, 10.0 + 1e-9, seed=0)
+        assert generate_codebook(src, chain, 10.0, seed=0).count == 2**20
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        src, chain = self.bsc(1)
+        with pytest.raises(ValueError, match="rate") as exc:
+            generate_codebook(src, chain, rate, seed=0)
+        assert not isinstance(exc.value, CodebookTooLarge)
 
     def test_horizon_mismatch_rejected(self):
         src, _ = self.bsc(1)
@@ -317,7 +392,20 @@ class TestSimulate:
         src = SourceModel.iid(FinitePmf.uniform(2), n)
         chain = CausalKernelChain.memoryless(W_QUARTER, n)
         rep = simulate(src, dist, chain, 1.0, 100, 0.5, 3)
-        assert rep.mean_distortion >= 0.0
+        mean, se = reference_simulation(src, dist, chain, 1.0, 100, 3)
+        assert rep.mean_distortion == mean
+        assert rep.std_err_distortion == se
+
+    @pytest.mark.parametrize("kind", CODING_KINDS)
+    def test_reports_match_the_trial_by_trial_reference(self, kind):
+        n = 2
+        src, dist, chain = coding_case(kind, n, np.random.default_rng(4))
+        for trials, seed in ((2, 0), (37, 5), (400, 11)):
+            rep = simulate(src, dist, chain, 0.6, trials, 0.1, seed)
+            mean, se = reference_simulation(src, dist, chain, 0.6, trials,
+                                            seed)
+            assert rep.mean_distortion == mean
+            assert rep.std_err_distortion == se
 
     def test_table_distortion_spans_unsampled_letters(self):
         # with p(1) = 0.001 five trials draw only the letter 0; the encoder's
@@ -332,3 +420,48 @@ class TestSimulate:
         by_letter = simulate(src, ham, chain, 0.5, 5, 0.1, 0)
         assert by_table.mean_distortion == pytest.approx(
             by_letter.mean_distortion, abs=1e-12)
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("kind", ["iid", "markov", "explicit"])
+    def test_trial_blocks_match_one_block_draws(self, kind):
+        # one random(k) per trial generator, mapped in one pass, gives the
+        # block that source.sample(1, .) draws from the same generator
+        n = 4
+        rng = np.random.default_rng(21)
+        if kind == "iid":
+            src = SourceModel.iid(random_pmf(rng, 3), n)
+        elif kind == "markov":
+            src = random_markov_source(rng, 3, n)
+        else:
+            src = SourceModel.explicit(random_pmf(rng, 2 ** (n + 1)).weights,
+                                       2, n)
+        k = src.block_uniforms
+        assert k == (1 if kind == "explicit" else n + 1)
+        for seed in (0, 41):
+            u = np.array([np.random.default_rng([seed, t]).random(k)
+                          for t in range(300)])
+            want = np.array([src.sample(1, np.random.default_rng([seed, t]))[0]
+                             for t in range(300)])
+            got = src.from_uniforms(u)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("kind", CODING_KINDS)
+    @pytest.mark.parametrize("codewords", [1, 7])
+    def test_min_cost_matches_the_all_pairs_table(self, monkeypatch, kind,
+                                                  codewords):
+        # 30-cell blocks hold 4 trials of a 7-word book (101 is no multiple
+        # of 4) and 30 trials of a one-word book
+        monkeypatch.setattr(probability, "BLOCK_CELLS", 30)
+        n = 3
+        rng = np.random.default_rng(8)
+        src, dist, chain = coding_case(kind, n, rng)
+        xs = src.sample(101, rng)
+        words = chain.sample(src.sample(codewords, rng), rng)
+        got = dist.min_cost(xs, words)
+        assert np.array_equal(got, all_pairs_min(dist, xs, words))
+        assert np.array_equal(got, dist.cost(xs[:, None],
+                                             words[None]).min(axis=1))

@@ -19,6 +19,7 @@ from crdf import (
     validate_causal,
 )
 from crdf import indexing as ix
+from crdf import probability
 from crdf.sampling import (
     anticausal_swap_kernel,
     random_chain,
@@ -71,6 +72,62 @@ class TestSourceModel:
         xs = src.sample(4000, np.random.default_rng(0))
         assert xs.shape == (4000, 4)
         assert abs(xs.mean() - 0.8) < 0.03
+
+    @staticmethod
+    def choice_reference(src, num, rng):
+        """Blocks drawn with Generator.choice: the whole iid array, the first
+        Markov letters and the explicit block indices; a Markov transition
+        maps its uniform by choice's own cdf."""
+        n, a = src.horizon, src.alphabet
+        if src.kind == "iid":
+            return rng.choice(a, size=(num, n + 1), p=src.letter.weights)
+        if src.kind == "explicit":
+            idx = rng.choice(a ** (n + 1), size=num, p=src.joint_weights)
+            return ix.to_letters(idx, a, n + 1)
+        out = np.empty((num, n + 1), dtype=np.int64)
+        out[:, 0] = rng.choice(a, size=num, p=src.initial.weights)
+        u = rng.random((num, n))
+        for t in range(num):
+            for i in range(1, n + 1):
+                cdf = np.cumsum(src.transition[out[t, i - 1]])
+                cdf /= cdf[-1]
+                out[t, i] = np.searchsorted(cdf, u[t, i - 1], side="right")
+        return out
+
+    def test_uniforms_on_the_cdf_steps_map_as_choice_maps_them(self):
+        # choice takes the letter after a step that u equals, and its cdf is
+        # divided by its last entry, so u just below 1 stays in the alphabet
+        # although the ten 0.1 masses sum to 1 - 2^-53
+        below_one = np.nextafter(1.0, 0.0)
+        halves = SourceModel.iid(FinitePmf([0.5, 0.5]), 1)
+        assert halves.from_uniforms(np.array([[0.5, 0.25]])).tolist() == [[1, 0]]
+        tenths = SourceModel.iid(FinitePmf(np.full(10, 0.1)), 0)
+        assert tenths.from_uniforms(np.array([[below_one]])).tolist() == [[9]]
+        T = np.zeros((10, 10))
+        T[:, 0] = T[:, 1] = 0.5
+        T[1] = 0.1
+        markov = SourceModel.markov(FinitePmf.point_mass(0, 10), T, 2)
+        got = markov.from_uniforms(np.array([[0.3, 0.5, below_one]]))
+        assert got.tolist() == [[0, 1, 9]]
+
+    @pytest.mark.parametrize("kind", ["iid", "markov", "explicit"])
+    @pytest.mark.parametrize("block", [probability.BLOCK_CELLS, 9])
+    def test_sample_matches_a_choice_reference(self, monkeypatch, kind,
+                                               block):
+        # 9-cell blocks split 601 blocks of n+1 = 4 letters into 2-row draws
+        monkeypatch.setattr(probability, "BLOCK_CELLS", block)
+        rng = np.random.default_rng(33)
+        if kind == "iid":
+            src = random_iid_source(rng, 3, 3)
+        elif kind == "markov":
+            src = random_markov_source(rng, 3, 3)
+        else:
+            src = SourceModel.explicit(rng.dirichlet(np.ones(16)), 2, 3)
+        for seed in (0, 7):
+            got = src.sample(601, np.random.default_rng(seed))
+            want = self.choice_reference(src, 601, np.random.default_rng(seed))
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 class TestCausalKernelChain:
@@ -150,6 +207,41 @@ class TestChainSampler:
         assert np.array_equal(y, twin.sample(x, np.random.default_rng(9)))
         assert np.array_equal(chain.conditional_matrix(),
                               twin.conditional_matrix())
+
+    @staticmethod
+    def one_draw_reference(chain, x, rng):
+        """Pass x through the chain's full-history stage tables, with every
+        uniform drawn at once."""
+        u = rng.random(x.shape)
+        y = np.empty(x.shape, dtype=np.int64)
+        for i in range(chain.horizon + 1):
+            rows = chain.stage(i)[ix.from_letters(y[:, :i], chain.ny),
+                                  ix.from_letters(x[:, :i + 1], chain.nx)]
+            draw = (u[:, i, None] > np.cumsum(rows, axis=1)).sum(axis=1)
+            y[:, i] = np.minimum(draw, chain.ny - 1)
+        return y
+
+    @pytest.mark.parametrize("kind", ["full", "compact", "per_letter"])
+    @pytest.mark.parametrize("block", [probability.BLOCK_CELLS, 10])
+    def test_blocked_draws_match_one_draw(self, monkeypatch, kind, block):
+        # 10-cell blocks take 2 rows of n+1 = 4 letters per draw, and 999
+        # rows leave a partial last block
+        monkeypatch.setattr(probability, "BLOCK_CELLS", block)
+        n, nx, ny = 3, 3, 2
+        rng = np.random.default_rng(12)
+        if kind == "full":
+            chain = random_chain(rng, nx, ny, n)
+        elif kind == "compact":
+            chain = CausalKernelChain.from_stages(
+                [rng.dirichlet(np.ones(ny), size=(ny**i, nx))
+                 for i in range(n + 1)], nx, ny)
+        else:
+            chain = CausalKernelChain.memoryless(
+                rng.dirichlet(np.ones(ny), size=nx), n)
+        x = rng.integers(0, nx, size=(999, n + 1))
+        got = chain.sample(x, np.random.default_rng(4))
+        want = self.one_draw_reference(chain, x, np.random.default_rng(4))
+        assert np.array_equal(got, want)
 
     def test_per_letter_chain_builds_no_stage_table(self):
         # stage(63) of a binary chain would have 2^64 rows
