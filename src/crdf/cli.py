@@ -2,16 +2,18 @@
 
 Commands: solve, sweep, properties, oracle, simulate, dmax, info.  The config
 is a JSON document with a versioned "schema" field; all randomness flows from
-its single "seed".  Sweeps run sequentially, each solve warm-started from the
-last; "solver.mode" is still read, and "warm" is its only legal value.
-Results are written as CSV (curve) and compact, key-sorted JSON (everything
-else) under the output directory.  Exit status: 0 on success, 1 when a
-properties/oracle check fails, 2 on validation errors.
+its single "seed".  Sweeps run sequentially, each solve starting from the
+previous point's output law mixed with the uniform law; "solver.mode" is
+still read, and "warm" is its only legal value.  Results are written as CSV
+(curve) and compact, key-sorted JSON (everything else) under the output
+directory.  Exit status: 0 on success, 1 when a properties/oracle check
+fails, 2 on a missing or malformed value, with a message naming its field.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,8 +23,8 @@ from .coding import simulate
 from .distortion import d_max_product
 from .information import check_causality_equivalence
 from .oracle import brute_force_lagrangian, compare
-from .probability import CausalKernelChain, ShapeError
-from .serialization import ConfigError
+from .probability import CausalKernelChain
+from .serialization import ConfigError, read_field
 from .solver import (
     RDCurve,
     SolverOptions,
@@ -64,57 +66,44 @@ def _load_config(path: str) -> dict:
 
 def _solver_options(cfg: dict) -> SolverOptions:
     sol = cfg.get("solver", {})
-    try:
-        return SolverOptions(tol=float(sol.get("tol", 1e-9)),
-                             max_iters=int(sol.get("max_iters", 20000)))
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc)) from exc
+    tol = read_field(sol, "tol", "solver", float, 1e-9)
+    max_iters = read_field(sol, "max_iters", "solver", int, 20000)
+    with ser.reading("solver"):
+        return SolverOptions(tol=tol, max_iters=max_iters)
 
 
 def _problem(cfg: dict):
-    source = ser.source_from_dict(_need(cfg, "source"))
-    dist = ser.distortion_from_dict(_need(cfg, "distortion"),
+    source = ser.source_from_dict(read_field(cfg, "source"))
+    dist = ser.distortion_from_dict(read_field(cfg, "distortion"),
                                     nx=source.alphabet)
-    try:
+    with ser.reading("distortion"):
         dist.check_source(source)
-    except ShapeError as exc:
-        raise ConfigError("distortion", str(exc)) from exc
     return source, dist
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(key, "missing required field")
-    return cfg[key]
-
-
 def _kernel_from_config(cfg: dict):
-    k = _need(cfg, "kernel")
+    k = read_field(cfg, "kernel")
     if k.get("kind") in ("stages", "memoryless"):
         return ser.chain_from_dict(k, "kernel")
     return ser.general_kernel_from_dict(k, "kernel")
 
 
-def _s_value(cfg: dict) -> float:
-    sol = cfg.get("solver", {})
-    if "s" not in sol:
-        raise ConfigError("solver.s", "missing required field")
-    s = float(sol["s"])
-    if s > 0:
-        raise ConfigError("solver.s", "multiplier must be <= 0")
+def _multiplier(value) -> float:
+    s = float(value)
+    if not (math.isfinite(s) and s <= 0):
+        raise ValueError("multiplier must be finite and <= 0")
     return s
 
 
+def _s_value(cfg: dict) -> float:
+    return read_field(cfg.get("solver", {}), "s", "solver", _multiplier)
+
+
 def _s_grid(cfg: dict) -> list:
-    grid = cfg.get("solver", {}).get("s_grid")
-    if grid is None:
-        return default_s_grid()
-    grid = [float(s) for s in grid]
-    if any(s > 0 for s in grid):
-        raise ConfigError("solver.s_grid", "multipliers must be <= 0")
-    if 0.0 not in grid:
-        grid.append(0.0)
-    return grid
+    # s = 0 ends every grid; sweep drops the repeat
+    grid = read_field(cfg.get("solver", {}), "s_grid", "solver",
+                      lambda g: [_multiplier(s) for s in g] + [0.0], None)
+    return default_s_grid() if grid is None else grid
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
@@ -151,8 +140,10 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
             raise ConfigError(block, "must be a JSON object")
     if cfg.get("solver", {}).get("mode", "warm") != "warm":
         raise ConfigError("solver.mode", "the only legal value is 'warm'")
+    seed = read_field(cfg, "seed", None, int, 0)
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
 
     if command == "solve":
         source, dist = _problem(cfg)
@@ -179,12 +170,16 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     if command == "oracle":
         source, dist = _problem(cfg)
         ocfg = cfg.get("oracle", {})
+        budget = read_field(ocfg, "budget", "oracle", int, 500)
+        tol = read_field(ocfg, "tol", "oracle", float, 1e-3)
+        if not tol > 0:
+            raise ConfigError("oracle.tol", "must be > 0")
         s = _s_value(cfg)
         point = solve_fixed_s(source, dist, s, _solver_options(cfg))
         result = brute_force_lagrangian(
             source, dist, s, method=ocfg.get("method", "grid"),
-            budget=int(ocfg.get("budget", 500)), seed=seed)
-        report = compare(point, result, tol=float(ocfg.get("tol", 1e-3)))
+            budget=budget, seed=seed)
+        report = compare(point, result, tol=tol)
         _write_json(out_dir, "oracle.json", {
             "schema": ser.SCHEMA, **asdict(report),
             "solver_lagrangian": point.lagrangian(),
@@ -196,9 +191,10 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     if command == "simulate":
         source, dist = _problem(cfg)
         sim = cfg.get("sim", {})
-        for field in ("rate", "trials", "epsilon"):
-            if field not in sim:
-                raise ConfigError(f"sim.{field}", "missing required field")
+        rate = read_field(sim, "rate", "sim", float)
+        trials = read_field(sim, "trials", "sim", int)
+        epsilon = read_field(sim, "epsilon", "sim", float)
+        target_d = read_field(sim, "target_d", "sim", float, None)
         if "kernel" in cfg:
             chain = _kernel_from_config(cfg)
             if not isinstance(chain, CausalKernelChain):
@@ -207,10 +203,8 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
             point = solve_fixed_s(source, dist, _s_value(cfg),
                                   _solver_options(cfg))
             chain = point.chain
-        report = simulate(source, dist, chain, float(sim["rate"]),
-                          int(sim["trials"]),
-                          float(sim["epsilon"]), seed,
-                          target_d=sim.get("target_d"))
+        report = simulate(source, dist, chain, rate, trials, epsilon, seed,
+                          target_d=target_d)
         _write_json(out_dir, "sim_report.json",
                     {"schema": ser.SCHEMA, **asdict(report)})
         return 0
@@ -228,8 +222,9 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
 
     if command == "info":
         source, dist = _problem(cfg)
-        report = check_causality_equivalence(source, _kernel_from_config(cfg),
-                                             tol=float(cfg.get("tol", 1e-9)))
+        report = check_causality_equivalence(
+            source, _kernel_from_config(cfg),
+            tol=read_field(cfg, "tol", None, float, 1e-9))
         _write_json(out_dir, "info.json",
                     {"schema": ser.SCHEMA, **asdict(report),
                      "all_hold": report.all_hold})

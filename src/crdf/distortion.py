@@ -55,8 +55,8 @@ class DistortionModel:
             self.tables if self.kind == "table" else (self.letter_costs,)))
         if self.kind == "table" and len(stages) != self.horizon + 1:
             raise ValueError("need one table per stage 0..n")
-        if stages[0].ndim != 2:
-            raise ValueError("stage 0 costs must be a matrix")
+        if stages[0].ndim != 2 or 0 in stages[0].shape:
+            raise ValueError("stage 0 costs must be a non-empty matrix")
         nx, ny = stages[0].shape
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)

@@ -149,6 +149,8 @@ class CausalKernelChain:
     @classmethod
     def memoryless(cls, letter_kernel, horizon: int):
         w = np.asarray(letter_kernel, dtype=float)
+        if w.ndim != 2:
+            raise ShapeError("letter kernel must be a matrix")
         return cls(nx=w.shape[0], ny=w.shape[1], horizon=horizon,
                    letter_kernel=w)
 
@@ -196,8 +198,7 @@ class CausalKernelChain:
                           if self._full_history(i) else xb[:, i])
                     rows = self.stages[i][ix.from_letters(yb[:, :i], self.ny),
                                           hx]
-                draw = (u[:, i, None] > np.cumsum(rows, axis=1)).sum(axis=1)
-                yb[:, i] = np.minimum(draw, self.ny - 1)
+                yb[:, i] = _choice_letters(rows, u[:, i])
         return y
 
     def conditional_matrix(self) -> np.ndarray:

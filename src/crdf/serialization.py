@@ -27,6 +27,7 @@ byte-stable for identical inputs.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -52,53 +53,77 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _require(d: dict, key: str, where: str):
+@contextmanager
+def reading(field: str):
+    """Re-raise a ValueError, TypeError or OverflowError of the block as a
+    ConfigError naming ``field``; a ConfigError passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+def read_field(d: dict, key: str, where: Optional[str] = None, kind=None,
+               default=...):
+    """``d[key]`` converted by ``kind`` (int, float or an array reader), or
+    ``default`` when the key is absent.  A missing required key, or a value
+    that ``kind`` rejects, raises ConfigError naming ``where.key``."""
+    field = key if where is None else f"{where}.{key}"
     if key not in d:
-        raise ConfigError(f"{where}.{key}", "missing required field")
-    return d[key]
+        if default is ...:
+            raise ConfigError(field, "missing required field")
+        return default
+    if kind is None:
+        return d[key]
+    with reading(field):
+        return kind(d[key])
+
+
+def _floats(v) -> np.ndarray:
+    return np.array(v, float)
+
+
+def _pmf(v) -> FinitePmf:
+    return FinitePmf(_floats(v))
 
 
 def source_from_dict(d: dict, where: str = "source") -> SourceModel:
-    kind = _require(d, "kind", where)
-    horizon = int(_require(d, "horizon", where))
-    try:
+    kind = read_field(d, "kind", where)
+    horizon = read_field(d, "horizon", where, int)
+    with reading(where):
         if kind == "iid":
-            return SourceModel.iid(FinitePmf(np.array(_require(d, "letter", where), float)), horizon)
+            return SourceModel.iid(read_field(d, "letter", where, _pmf),
+                                   horizon)
         if kind == "markov":
             return SourceModel.markov(
-                FinitePmf(np.array(_require(d, "initial", where), float)),
-                np.array(_require(d, "transition", where), float), horizon)
+                read_field(d, "initial", where, _pmf),
+                read_field(d, "transition", where, _floats), horizon)
         if kind == "explicit":
             return SourceModel.explicit(
-                np.array(_require(d, "weights", where), float),
-                int(_require(d, "alphabet", where)), horizon)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(where, str(exc)) from exc
+                read_field(d, "weights", where, _floats),
+                read_field(d, "alphabet", where, int), horizon)
     raise ConfigError(f"{where}.kind", f"unknown source kind {kind!r}")
 
 
 def distortion_from_dict(d: dict, nx: Optional[int] = None,
                          where: str = "distortion") -> DistortionModel:
-    kind = _require(d, "kind", where)
-    horizon = int(_require(d, "horizon", where))
-    try:
+    kind = read_field(d, "kind", where)
+    horizon = read_field(d, "horizon", where, int)
+    with reading(where):
         if kind == "hamming":
-            a = int(d.get("nx", nx if nx is not None else 0))
+            a = read_field(d, "nx", where, int, nx if nx is not None else 0)
             if a < 1:
                 raise ConfigError(f"{where}.nx", "hamming needs an alphabet size")
-            return DistortionModel.hamming(a, horizon, ny=d.get("ny"))
+            return DistortionModel.hamming(
+                a, horizon, ny=read_field(d, "ny", where, int, None))
         if kind == "single_letter":
             return DistortionModel.single_letter(
-                np.array(_require(d, "costs", where), float), horizon)
+                read_field(d, "costs", where, _floats), horizon)
         if kind == "table":
-            tabs = [np.array(t, float) for t in _require(d, "tables", where)]
+            tabs = [_floats(t) for t in read_field(d, "tables", where)]
             return DistortionModel.from_tables(tabs, horizon)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(where, str(exc)) from exc
     raise ConfigError(f"{where}.kind", f"unknown distortion kind {kind!r}")
 
 
@@ -115,35 +140,28 @@ def chain_to_dict(chain: CausalKernelChain) -> dict:
 
 
 def chain_from_dict(d: dict, where: str = "chain") -> CausalKernelChain:
-    kind = _require(d, "kind", where)
-    try:
+    kind = read_field(d, "kind", where)
+    with reading(where):
         if kind == "memoryless":
             return CausalKernelChain.memoryless(
-                np.array(_require(d, "letter_kernel", where), float),
-                int(_require(d, "horizon", where)))
+                read_field(d, "letter_kernel", where, _floats),
+                read_field(d, "horizon", where, int))
         if kind == "stages":
-            nx, ny = int(_require(d, "nx", where)), int(_require(d, "ny", where))
-            stages = []
-            for i, flat in enumerate(_require(d, "stages", where)):
-                stages.append(np.array(flat, float).reshape(ny**i, -1, ny))
+            nx = read_field(d, "nx", where, int)
+            ny = read_field(d, "ny", where, int)
+            stages = [_floats(flat).reshape(ny**i, -1, ny) for i, flat
+                      in enumerate(read_field(d, "stages", where))]
             return CausalKernelChain.from_stages(stages, nx, ny)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(where, str(exc)) from exc
     raise ConfigError(f"{where}.kind", f"unknown chain kind {kind!r}")
 
 
 def general_kernel_from_dict(d: dict, where: str = "kernel") -> GeneralKernel:
-    try:
+    with reading(where):
         return GeneralKernel(
-            nx=int(_require(d, "nx", where)), ny=int(_require(d, "ny", where)),
-            horizon=int(_require(d, "horizon", where)),
-            table=np.array(_require(d, "table", where), float))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(where, str(exc)) from exc
+            nx=read_field(d, "nx", where, int),
+            ny=read_field(d, "ny", where, int),
+            horizon=read_field(d, "horizon", where, int),
+            table=read_field(d, "table", where, _floats))
 
 
 def output_to_dict(output: OutputProcess) -> dict:
@@ -152,15 +170,17 @@ def output_to_dict(output: OutputProcess) -> dict:
 
 
 def output_from_dict(d: dict, where: str = "output") -> OutputProcess:
-    kind = _require(d, "kind", where)
-    if kind == "memoryless":
-        return OutputProcess.memoryless(
-            np.array(_require(d, "letter", where), float),
-            int(_require(d, "horizon", where)))
-    if kind == "explicit":
-        return OutputProcess(ny=int(_require(d, "ny", where)),
-                             horizon=int(_require(d, "horizon", where)),
-                             joint=np.array(_require(d, "joint", where), float))
+    kind = read_field(d, "kind", where)
+    with reading(where):
+        if kind == "memoryless":
+            return OutputProcess.memoryless(
+                read_field(d, "letter", where, _pmf).weights,
+                read_field(d, "horizon", where, int))
+        if kind == "explicit":
+            return OutputProcess(
+                ny=read_field(d, "ny", where, int),
+                horizon=read_field(d, "horizon", where, int),
+                joint=read_field(d, "joint", where, _pmf).weights)
     raise ConfigError(f"{where}.kind", f"unknown output kind {kind!r}")
 
 

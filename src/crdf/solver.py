@@ -116,7 +116,7 @@ class SolverOptions:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:                    # NaN fails too
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -187,14 +187,6 @@ def _normalized(w, log_w) -> tuple:
     return q, log_z
 
 
-def _joint_of(conds) -> np.ndarray:
-    """The law on Y^n whose chain-rule conditionals are ``conds``."""
-    joint = np.ones(1)
-    for c in conds:
-        joint = (joint[:, None] * c).reshape(-1)
-    return joint
-
-
 def _gap(nu, p, n: int) -> float:
     """Certified gap of the kernel tilted at nu, in bits per symbol.
 
@@ -235,23 +227,22 @@ def _natural_step(nu, p, beta: float) -> tuple:
     return p, 1.0
 
 
-def _alternate(evaluate, nu, first, n: int, opts: SolverOptions,
-               kernel_step) -> tuple:
+def _alternate(evaluate, nu, n: int, opts: SolverOptions) -> tuple:
     """Alternating minimization over the output law, safeguarded.
 
-    ``evaluate(nu)`` returns the kernel tilted at the output law nu and the
-    kernel's own output law P_Y; ``first`` is its value at the start nu.
-    Each iteration evaluates one candidate from ``_natural_step``.  A
-    candidate is accepted when its certified gap strictly falls, and beta
-    then doubles, up to BETA_MAX; otherwise the next candidate is the plain
-    step from the last accepted law, with beta = 1.  A plain step is always
-    taken, so with beta = 1 throughout this is the plain Blahut-Arimoto
-    iteration.  The solve has converged when the kernel moves less than
-    ``tol`` and the gap is at most ``tol``.  Returns (kernel, gap,
-    iterations, converged), the kernel being the converged candidate or
-    else the last accepted one.
+    ``evaluate(nu)`` returns the kernel tilted at the output law nu, a list
+    of stage kernels, and the kernel's own output law P_Y; the first call is
+    at the start nu.  Each iteration evaluates one candidate from
+    ``_natural_step``.  A candidate is accepted when its certified gap
+    strictly falls, and beta then doubles, up to BETA_MAX; otherwise the
+    next candidate is the plain step from the last accepted law, with
+    beta = 1.  A plain step is always taken, so with beta = 1 throughout
+    this is the plain Blahut-Arimoto iteration.  The solve has converged
+    when the kernel moves less than ``tol`` and the gap is at most ``tol``.
+    Returns (kernel, gap, iterations, converged), the kernel being the
+    converged candidate or else the last accepted one.
     """
-    q, p = first
+    q, p = evaluate(nu)
     gap = _gap(nu, p, n)
     beta = 1.0
     iterations = 1
@@ -259,7 +250,7 @@ def _alternate(evaluate, nu, first, n: int, opts: SolverOptions,
         cand, used = _natural_step(nu, p, beta)
         q_new, p_new = evaluate(cand)
         gap_new = _gap(cand, p_new, n)
-        if kernel_step(q_new, q) < opts.tol and gap_new <= opts.tol:
+        if _max_step(q_new, q) < opts.tol and gap_new <= opts.tol:
             return q_new, gap_new, iterations, True
         falls = gap_new < gap
         if falls or used == 1.0:
@@ -281,6 +272,8 @@ class _Workspace:
     """
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
+        if not (math.isfinite(s) and s <= 0):
+            raise ValueError("Lagrange multiplier s must be finite and <= 0")
         dist.check_source(source)
         n, nx, ny = source.horizon, dist.nx, dist.ny
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
@@ -459,36 +452,33 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
                   warm_start=None) -> RateDistortionPoint:
     """Solve the fixed-s Lagrangian problem by alternating minimization.
 
-    ``warm_start`` may carry output conditionals from a neighboring solve;
-    it is ignored where the zero-rate test certifies the D_max point mass,
-    which is then the start.  Non-convergence within ``max_iters`` returns
+    ``warm_start`` may carry the output law, a joint on Y^n, of a
+    neighboring solve; it is ignored where the zero-rate test certifies the
+    D_max point mass, which is then the start.  Otherwise the start is the
+    uniform law.  Non-convergence within ``max_iters`` returns
     converged=False, with the gap reached, rather than raising.
     """
-    if s > 0:
-        raise ValueError("Lagrange multiplier s must be <= 0")
     ws = _Workspace(source, dist, s)
     n, nx, ny = ws.n, ws.nx, ws.ny
-    nu = [np.full((ny**i, ny), 1.0 / ny) for i in range(n + 1)]
+    size = ny ** (n + 1)
+    nu = np.full(size, 1.0 / size)
     y_star = ws.zero_rate()
     if y_star is not None:
         # the point mass on y* is optimal: start there and the loop stops
         # after one repeat of the kernel
-        nu = _chain_rule_conditionals(
-            FinitePmf.point_mass(y_star, ny ** (n + 1)).weights, ny, n)
+        nu = FinitePmf.point_mass(y_star, size).weights
     elif warm_start is not None:
         # a multiplicative update never revives a zero mass and revives a
-        # vanishing one too slowly to notice, so the warm conditionals are
-        # mixed with the uniform law to give full support
-        nu = [(1.0 - WARM_MIX) * np.asarray(c, dtype=float) + WARM_MIX * u
-              for c, u in zip(warm_start, nu)]
+        # vanishing one too slowly to notice, so the warm law is mixed with
+        # the uniform law to give full support
+        nu = ((1.0 - WARM_MIX) * np.asarray(warm_start, dtype=float)
+              + WARM_MIX * nu)
 
-    def evaluate(conds):
-        q, _ = ws.tilt(conds)
+    def evaluate(law):
+        q, _ = ws.tilt(_chain_rule_conditionals(law, ny, n))
         return q, ws.output_law(q)
 
-    q, gap, iterations, converged = _alternate(
-        lambda law: evaluate(_chain_rule_conditionals(law, ny, n)),
-        _joint_of(nu), evaluate(nu), n, opts, _max_step)
+    q, gap, iterations, converged = _alternate(evaluate, nu, n, opts)
     chain = CausalKernelChain.from_stages(q, nx, ny)
     nu, d_sum, info = ws.measures(q)
     output = OutputProcess(ny=ny, horizon=n, joint=nu)
@@ -530,16 +520,14 @@ def sweep(source: SourceModel, dist: DistortionModel,
     """Trace the rate-distortion curve over a grid of multipliers.
 
     Runs sequentially from s=0 downward, warm-starting each solve from the
-    output conditionals of the previous fixed point.
+    output law of the previous fixed point.
     """
     if len(s_grid) == 0:
         raise ValueError("empty multiplier grid")
     points = []
-    warm = None
     for s in sorted(set(float(s) for s in s_grid), reverse=True):
-        p = solve_fixed_s(source, dist, s, opts, warm_start=warm)
-        points.append(p)
-        warm = p.output.conditionals
+        warm = points[-1].output.joint if points else None
+        points.append(solve_fixed_s(source, dist, s, opts, warm_start=warm))
     dmax, _ = d_max_min_sequence(source, dist)
     return RDCurve(points=tuple(points), d_max_reported=dmax)
 
@@ -553,8 +541,6 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     the rate loss due to causality.  Where the zero-rate test certifies the
     D_max point mass, the output law starts there.
     """
-    if s > 0:
-        raise ValueError("Lagrange multiplier s must be <= 0")
     y_star = _Workspace(source, dist, s).zero_rate()
     n, nx, ny = source.horizon, dist.nx, dist.ny
     mu = source.joint_pmf()
@@ -574,14 +560,11 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
 
     def evaluate(law):
         q, _ = kernel(law)
-        return q, mu @ q
+        return [q], mu @ q
 
-    q, gap, iterations, converged = _alternate(
-        evaluate, nu, evaluate(nu), n, opts,
-        lambda a, b: float(np.max(np.abs(a - b))))
-    nu_final = mu @ q
-    q_next, log_z = kernel(nu_final)
-    residual = float(np.max(np.abs(q_next - q)))
+    (q,), gap, iterations, converged = _alternate(evaluate, nu, n, opts)
+    q_next, log_z = kernel(mu @ q)
+    residual = _max_step([q_next], [q])
 
     joint = JointMeasure(nx=nx, ny=ny, horizon=n, pmf=mu[:, None] * q)
     d_norm = average_distortion(joint, dist)
@@ -669,16 +652,15 @@ def bisect_s_for_distortion(source: SourceModel, dist: DistortionModel,
                             ) -> RateDistortionPoint:
     """Find the multiplier whose achieved distortion matches ``target``.
 
-    Plain bisection on s (D(s) is non-decreasing in s); the returned point is
-    the final solve.
+    Plain bisection on s (D(s) is non-decreasing in s), each solve warm-started
+    from the output law of the last; the returned point is the final solve.
     """
     lo, hi = BISECT_S_LOW, 0.0
-    warm = None
     point = None
     for _ in range(BISECT_MAX_STEPS):
         mid = 0.5 * (lo + hi)
+        warm = None if point is None else point.output.joint
         point = solve_fixed_s(source, dist, mid, opts, warm_start=warm)
-        warm = point.output.conditionals
         if abs(point.distortion - target) <= BISECT_TOL_D:
             return point
         if point.distortion > target:

@@ -359,6 +359,44 @@ class TestValidation:
         assert f"error: {field}: must be a JSON object" in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("command, extra, field", [
+        ("solve", {"source": {**BASE["source"], "horizon": [1]}},
+         "source.horizon"),
+        ("solve", {"source": {**BASE["source"], "horizon": float("inf")}},
+         "source.horizon"),
+        ("solve", {"distortion": {"kind": "hamming", "horizon": "x"}},
+         "distortion.horizon"),
+        ("solve", {"distortion": {"kind": "hamming", "horizon": 1, "ny": 0}},
+         "distortion"),
+        ("solve", {"seed": [1]}, "seed"),
+        ("solve", {"seed": -1}, "seed"),
+        ("solve", {"solver": {"s": [1]}}, "solver.s"),
+        ("solve", {"solver": {"s": float("nan")}}, "solver.s"),
+        ("solve", {"solver": {"s": float("-inf")}}, "solver.s"),
+        ("solve", {"solver": {"s": -1.0, "tol": float("nan")}}, "solver: tol"),
+        ("sweep", {"solver": {"s_grid": [-1.0, float("nan")]}},
+         "solver.s_grid"),
+        ("oracle", {"oracle": {"tol": float("nan")}}, "oracle.tol"),
+        ("dmax", {"output": {"kind": "explicit", "ny": [2], "horizon": 1,
+                             "joint": [0.25] * 4}}, "output.ny"),
+        ("dmax", {"output": {"kind": "explicit", "ny": 2, "horizon": 1,
+                             "joint": [0.3, 0.3, 0.25, 0.25]}}, "output.joint"),
+        ("simulate", {"sim": {"rate": 0.5, "trials": [20], "epsilon": 0.1}},
+         "sim.trials"),
+        ("simulate", {"kernel": {"kind": "memoryless", "horizon": 1,
+                                 "letter_kernel": 0.5},
+                      "sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1}},
+         "kernel"),
+    ])
+    def test_malformed_value_names_its_field(self, tmp_path, capsys, command,
+                                             extra, field):
+        # each used to end in a traceback (exit 1), exit 0 or 1 with a
+        # meaningless result, or exit 2 with a message that named no field
+        cfg = write_config(tmp_path, {"solver": {"s": -1.0}, **extra})
+        assert run(command, cfg, tmp_path) == 2
+        assert f"error: {field}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_chain_stage_of_neither_layout(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "kernel": {"kind": "stages", "nx": 2, "ny": 2,

@@ -107,6 +107,19 @@ class TestSolveFixedS:
         with pytest.raises(ValueError):
             solve_fixed_s(src, DistortionModel.hamming(2, 0), 0.5)
 
+    @pytest.mark.parametrize("solve", [solve_fixed_s, classical_ba])
+    @pytest.mark.parametrize("s", [math.nan, -math.inf])
+    def test_non_finite_s_rejected(self, solve, s):
+        # NaN passed the "s > 0" test and ended in an empty-array reduction
+        src = SourceModel.iid(UNIFORM2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            solve(src, DistortionModel.hamming(2, 1), s)
+
+    def test_nan_tol_rejected(self):
+        # NaN passed "tol <= 0" and ran to max_iters with converged False
+        with pytest.raises(ValueError, match="tol"):
+            SolverOptions(tol=math.nan)
+
     def test_horizon_zero_matches_classical(self):
         src = SourceModel.iid(UNIFORM2, 0)
         dist = DistortionModel.hamming(2, 0)
@@ -335,6 +348,24 @@ class TestSweep:
             assert a.converged and b.converged
             assert abs(a.rate - b.rate) <= 1e-7
             assert abs(a.distortion - b.distortion) <= 1e-7
+
+    @pytest.mark.parametrize("s", [-0.5, -1.0, -3.0])
+    def test_warm_start_from_a_point_mass_reaches_the_cold_solution(self, s):
+        # the D_max point mass holds every other mass at 0, and a
+        # multiplicative update never revives a zero: WARM_MIX's share of
+        # the uniform law is what lets the solve leave it
+        src, dist = ternary_markov()
+        assert _Workspace(src, dist, s).zero_rate() is None
+        _, y_star = d_max_min_sequence(src, dist)
+        warm = FinitePmf.point_mass(y_star[0] * 3 + y_star[1], 9).weights
+        a = solve_fixed_s(src, dist, s, warm_start=warm)
+        b = solve_fixed_s(src, dist, s)
+        assert a.converged and b.converged
+        assert abs(a.rate - b.rate) <= 1e-7
+        assert abs(a.distortion - b.distortion) <= 1e-7
+        # the start law has one form, the joint on Y^n
+        with pytest.raises(ValueError):
+            solve_fixed_s(src, dist, s, warm_start=b.output.conditionals)
 
     def test_long_horizon_builds_no_trajectory_matrix(self, monkeypatch):
         # n = 12: the (Nx, Ny) cost matrix would take 512 MB
