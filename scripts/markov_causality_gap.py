@@ -20,25 +20,13 @@ from crdf import (
     DistortionModel,
     FinitePmf,
     SourceModel,
+    bisect_s_for_distortion,
     brute_force_lagrangian,
     classical_ba,
     solve_fixed_s,
 )
 
 T = np.array([[0.8, 0.2], [0.2, 0.8]])
-
-
-def classical_rate_at(src, dist, target_d):
-    lo, hi = -60.0, 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):     # the bracket is one double wide
-            break
-        if classical_ba(src, dist, mid).distortion > target_d:
-            hi = mid
-        else:
-            lo = mid
-    return classical_ba(src, dist, 0.5 * (lo + hi)).rate
 
 
 def causality_gap(horizon):
@@ -48,7 +36,8 @@ def causality_gap(horizon):
     print(f"{'s':>8} {'D':>9} {'R_causal':>9} {'R_class':>9} {'gap':>9}")
     for s in sorted(-np.geomspace(0.3, 8.0, 10)):
         p = solve_fixed_s(src, dist, s)
-        rc = classical_rate_at(src, dist, p.distortion)
+        rc = bisect_s_for_distortion(src, dist, p.distortion,
+                                     solve=classical_ba).rate
         print(f"{s:8.3f} {p.distortion:9.5f} {p.rate:9.5f} {rc:9.5f} "
               f"{p.rate - rc:9.2e}")
     print()

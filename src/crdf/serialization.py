@@ -67,9 +67,9 @@ def reading(field: str):
 
 def read_field(d: dict, key: str, where: Optional[str] = None, kind=None,
                default=...):
-    """``d[key]`` converted by ``kind`` (int, float or an array reader), or
-    ``default`` when the key is absent.  A missing required key, or a value
-    that ``kind`` rejects, raises ConfigError naming ``where.key``."""
+    """``d[key]`` converted by ``kind`` (int, integral numbers only; float;
+    an array reader), or ``default`` if absent.  A missing required key, or
+    a value that ``kind`` rejects, raises ConfigError naming ``where.key``."""
     field = key if where is None else f"{where}.{key}"
     if key not in d:
         if default is ...:
@@ -78,7 +78,10 @@ def read_field(d: dict, key: str, where: Optional[str] = None, kind=None,
     if kind is None:
         return d[key]
     with reading(field):
-        return kind(d[key])
+        value = d[key]
+        if kind is int and (type(value) not in (int, float) or value % 1):
+            raise ValueError(f"must be an integer, not {value!r}")
+        return kind(value)
 
 
 def _floats(v) -> np.ndarray:
@@ -195,11 +198,10 @@ def point_to_dict(point: RateDistortionPoint) -> dict:
         "converged": point.converged,
         "residual": point.residual,
         "gap": point.gap,
+        "output": output_to_dict(point.output),
     }
     if point.chain is not None:
         out["chain"] = chain_to_dict(point.chain)
-    if point.output is not None:
-        out["output"] = output_to_dict(point.output)
     return out
 
 

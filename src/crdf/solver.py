@@ -44,13 +44,12 @@ telescoped closed-form rate
 
 is reported next to the directed-information rate as a cross-check.
 
-Zero-rate interval.  For s < 0 both solvers first run Blahut's (1972) KKT
-test for the point mass on y*, the constant sequence that attains D_max
-(``_Workspace.zero_rate``, which shows why that point mass is then the
-causal optimum, with R = 0 and D = D_max).  When it holds, the solve starts
-its output law there and the usual loop stops after two iterations.  s = 0
-is left to the uniform start: there every output law independent of x is
-optimal, and the uniform one already converges at once.
+Start (``_Workspace.start``, both solvers).  For s < 0, where Blahut's
+(1972) KKT test certifies the point mass on the D_max sequence y* as the
+causal optimum (``_Workspace.zero_rate``), the output law starts there and
+the loop stops after two iterations.  Otherwise a ``warm_start`` is mixed
+with the uniform law by WARM_MIX, as a multiplicative update never revives
+a zero mass; without one the start is the uniform law, optimal at s = 0.
 
 Costs.  A causal solve or sweep reads costs only from the workspace's stage
 tables: the tilt, the forward pass, the zero-rate test and D_max
@@ -58,10 +57,14 @@ tables: the tilt, the forward pass, the zero-rate test and D_max
 Classical Blahut-Arimoto lives on the trajectory alphabet and reads that
 matrix, which the model builds on first use and keeps.
 
+Bisection on s.  ``bisect_s_for_distortion`` drives either solver, warm
+from step to step, and stops once the s bracket is one double wide: a stop
+on |D - target| <= 1e-7 could move the classical rate by 2.9e-6 at s = -20,
+where a binary Markov source at n = 2 has a causal rate only 9e-10 above it.
+
 Conventions: s multiplies rho in natural units inside the exponent; all
 reported rates are bits per symbol and all distortions are normalized by
-(n+1).  The classical (non-causal) solver on the trajectory alphabet is
-provided as a baseline for rate-loss-due-to-causality reports.
+(n+1).
 """
 from __future__ import annotations
 
@@ -87,7 +90,7 @@ from .probability import (
 )
 
 
-# weight of the uniform law in a warm start (see solve_fixed_s)
+# weight of the uniform law in a warm start
 WARM_MIX = 1e-6
 # largest exponent of the natural-gradient step on the output law
 BETA_MAX = 256.0
@@ -98,9 +101,8 @@ MONOTONE_TOL = 1e-8
 CONVEX_TOL = 1e-6
 ZERO_RATE_TOL = 1e-6
 DMAX_MARGIN = 1e-3
-# bisect_s_for_distortion: s bracket's lower end, D tolerance, step limit
+# bisect_s_for_distortion: s bracket's lower end and step limit
 BISECT_S_LOW = -60.0
-BISECT_TOL_D = 1e-7
 BISECT_MAX_STEPS = 200
 # default_s_grid: count and magnitude range of its negative multipliers
 S_GRID_NUM = 40
@@ -124,8 +126,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RateDistortionPoint:
-    """One Lagrangian solution: multiplier and achieved (D, R); a causal
-    solve also carries its chain and output law."""
+    """One Lagrangian solution: multiplier, achieved (D, R) and the output
+    law; a causal solve also carries its chain."""
 
     s: float
     distortion: float
@@ -133,10 +135,10 @@ class RateDistortionPoint:
     rate_formula: float
     iterations: int
     converged: bool
+    output: OutputProcess
     residual: float = math.nan
     gap: float = math.nan
     chain: Optional[CausalKernelChain] = None
-    output: Optional[OutputProcess] = None
 
     def lagrangian(self) -> float:
         """R - s*log2(e)*D in bits; the sD constant of the dual is dropped."""
@@ -426,6 +428,18 @@ class _Workspace:
             c = self.output_law(weights)
         return best if np.max(c) <= c[best] else None   # fails on inf, nan
 
+    def start(self, warm_start) -> np.ndarray:
+        """Start output law on Y^n of either solver (module docstring)."""
+        size = self.ny ** (self.n + 1)
+        y_star = self.zero_rate()
+        if y_star is not None:
+            return FinitePmf.point_mass(y_star, size).weights
+        nu = np.full(size, 1.0 / size)
+        if warm_start is None:
+            return nu
+        return ((1.0 - WARM_MIX) * np.asarray(warm_start, dtype=float)
+                + WARM_MIX * nu)
+
     def measures(self, stages) -> tuple:
         """nu(y^n), sum_i E[rho_i] and I(X^n -> Y^n) in bits of a stage chain.
 
@@ -453,32 +467,18 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
     """Solve the fixed-s Lagrangian problem by alternating minimization.
 
     ``warm_start`` may carry the output law, a joint on Y^n, of a
-    neighboring solve; it is ignored where the zero-rate test certifies the
-    D_max point mass, which is then the start.  Otherwise the start is the
-    uniform law.  Non-convergence within ``max_iters`` returns
+    neighboring solve.  Non-convergence within ``max_iters`` returns
     converged=False, with the gap reached, rather than raising.
     """
     ws = _Workspace(source, dist, s)
     n, nx, ny = ws.n, ws.nx, ws.ny
-    size = ny ** (n + 1)
-    nu = np.full(size, 1.0 / size)
-    y_star = ws.zero_rate()
-    if y_star is not None:
-        # the point mass on y* is optimal: start there and the loop stops
-        # after one repeat of the kernel
-        nu = FinitePmf.point_mass(y_star, size).weights
-    elif warm_start is not None:
-        # a multiplicative update never revives a zero mass and revives a
-        # vanishing one too slowly to notice, so the warm law is mixed with
-        # the uniform law to give full support
-        nu = ((1.0 - WARM_MIX) * np.asarray(warm_start, dtype=float)
-              + WARM_MIX * nu)
 
     def evaluate(law):
         q, _ = ws.tilt(_chain_rule_conditionals(law, ny, n))
         return q, ws.output_law(q)
 
-    q, gap, iterations, converged = _alternate(evaluate, nu, n, opts)
+    q, gap, iterations, converged = _alternate(
+        evaluate, ws.start(warm_start), n, opts)
     chain = CausalKernelChain.from_stages(q, nx, ny)
     nu, d_sum, info = ws.measures(q)
     output = OutputProcess(ny=ny, horizon=n, joint=nu)
@@ -533,15 +533,15 @@ def sweep(source: SourceModel, dist: DistortionModel,
 
 
 def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
-                 opts: SolverOptions = SolverOptions()) -> RateDistortionPoint:
+                 opts: SolverOptions = SolverOptions(),
+                 warm_start=None) -> RateDistortionPoint:
     """Classical Blahut-Arimoto on the trajectory alphabet (no causality).
 
-    Optimizes an unconstrained kernel q(y^n | x^n) at multiplier s and
-    reports the per-symbol (R, D) pair; the gap to the causal solution is
-    the rate loss due to causality.  Where the zero-rate test certifies the
-    D_max point mass, the output law starts there.
+    From the start ``solve_fixed_s`` takes, optimizes an unconstrained kernel
+    q(y^n | x^n) at s and reports per-symbol (R, D) and the output law mu @ q;
+    the causal rate minus R is the rate loss due to causality.
     """
-    y_star = _Workspace(source, dist, s).zero_rate()
+    nu = _Workspace(source, dist, s).start(warm_start)
     n, nx, ny = source.horizon, dist.nx, dist.ny
     mu = source.joint_pmf()
     C = dist.total_cost_matrix()
@@ -550,9 +550,6 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     low = C.min(axis=1)
     log_e = s * (C - low[:, None])
     E = np.exp(log_e)
-    Ny = ny ** (n + 1)
-    nu = (np.full(Ny, 1.0 / Ny) if y_star is None
-          else FinitePmf.point_mass(y_star, Ny).weights)
 
     def kernel(law):
         return _normalized(E * law[None, :],
@@ -563,7 +560,8 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
         return [q], mu @ q
 
     (q,), gap, iterations, converged = _alternate(evaluate, nu, n, opts)
-    q_next, log_z = kernel(mu @ q)
+    output = OutputProcess(ny=ny, horizon=n, joint=mu @ q)
+    q_next, log_z = kernel(output.joint)
     residual = _max_step([q_next], [q])
 
     joint = JointMeasure(nx=nx, ny=ny, horizon=n, pmf=mu[:, None] * q)
@@ -574,7 +572,7 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
     return RateDistortionPoint(
         s=s, distortion=d_norm, rate=rate, rate_formula=formula,
         iterations=iterations, converged=converged, residual=residual,
-        gap=gap)
+        gap=gap, output=output)
 
 
 def gateaux_derivative(source: SourceModel, q0: Kernel, q1: Kernel) -> float:
@@ -648,21 +646,20 @@ def properties_report(curve: RDCurve) -> PropertiesReport:
 
 def bisect_s_for_distortion(source: SourceModel, dist: DistortionModel,
                             target: float,
-                            opts: SolverOptions = SolverOptions()
-                            ) -> RateDistortionPoint:
+                            opts: SolverOptions = SolverOptions(),
+                            solve=solve_fixed_s) -> RateDistortionPoint:
     """Find the multiplier whose achieved distortion matches ``target``.
 
-    Plain bisection on s (D(s) is non-decreasing in s), each solve warm-started
-    from the output law of the last; the returned point is the final solve.
+    Bisection on s with ``solve``, ``solve_fixed_s`` or ``classical_ba``
+    (module docstring); the returned point is the final solve.
     """
-    lo, hi = BISECT_S_LOW, 0.0
-    point = None
+    lo, hi, warm = BISECT_S_LOW, 0.0, None
     for _ in range(BISECT_MAX_STEPS):
         mid = 0.5 * (lo + hi)
-        warm = None if point is None else point.output.joint
-        point = solve_fixed_s(source, dist, mid, opts, warm_start=warm)
-        if abs(point.distortion - target) <= BISECT_TOL_D:
-            return point
+        if mid in (lo, hi):
+            break
+        point = solve(source, dist, mid, opts, warm_start=warm)
+        warm = point.output.joint
         if point.distortion > target:
             hi = mid
         else:

@@ -32,6 +32,7 @@ from crdf import (
     TypicalitySpec,
     bisect_s_for_distortion,
     brute_force_lagrangian,
+    classical_ba,
     compare,
     d_max_min_sequence,
     gateaux_derivative,
@@ -243,12 +244,12 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    def test_causal_rate_dominates_classical(self, matrix_curves,
-                                            classical_at_distortion):
+    def test_causal_rate_dominates_classical(self, matrix_curves):
         src, dist, curve = matrix_curves["mkv2-ham-n2"]
         ok = True
         for p in curve.converged_points():
-            classic = classical_at_distortion(src, dist, p.distortion)
+            classic = bisect_s_for_distortion(src, dist, p.distortion,
+                                              solve=classical_ba)
             ok &= p.rate >= classic.rate - 1e-9
         assert report(7, "causal rate >= classical rate at matched D "
                          "for the binary Markov source", ok)

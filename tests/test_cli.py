@@ -387,6 +387,14 @@ class TestValidation:
                                  "letter_kernel": 0.5},
                       "sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1}},
          "kernel"),
+        ("solve", {"source": {**BASE["source"], "horizon": 1.7}},
+         "source.horizon"),
+        ("solve", {"source": {**BASE["source"], "horizon": True}},
+         "source.horizon"),
+        ("solve", {"distortion": {"kind": "hamming", "horizon": 1,
+                                  "ny": 1.5}}, "distortion.ny"),
+        ("solve", {"solver": {"s": -1.0, "max_iters": "3"}},
+         "solver.max_iters"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, command,
                                              extra, field):

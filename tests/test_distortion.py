@@ -9,6 +9,7 @@ from crdf import (
     ShapeError,
     SourceModel,
     average_distortion,
+    bisect_s_for_distortion,
     classical_ba,
     d_max_min_sequence,
     d_max_product,
@@ -117,13 +118,7 @@ class TestCostEvaluator:
         dist = DistortionModel.hamming(2, 1)
         sweep(src, dist, [0.0, -0.5, -2.0])
         assert builds == []  # a causal sweep reads the stage tables only
-        lo, hi = -10.0, 0.0
-        for _ in range(5):
-            mid = 0.5 * (lo + hi)
-            if classical_ba(src, dist, mid).distortion > 0.1:
-                hi = mid
-            else:
-                lo = mid
+        bisect_s_for_distortion(src, dist, 0.1, solve=classical_ba)
         assert len(builds) == 1 and builds[0] is dist
         assert not dist.total_cost_matrix().flags.writeable
 

@@ -1,8 +1,9 @@
 """Smoke runs of the example scripts at their smallest useful arguments, so
 a library change that breaks a script fails the suite.
 
-``markov_causality_gap.py`` is left out: even at ``--horizon 1 --budget 5``
-its search takes about 15 s.
+``markov_causality_gap.py`` is left out: at ``--horizon 1`` and a
+``--budget`` of 1 to 5 it takes 4 to 7 s on two cores, almost all of it in
+the multistart search.
 """
 import os
 import subprocess

@@ -315,8 +315,7 @@ class TestSweep:
             assert p.converged
             assert abs(p.rate - binary_hamming_rdf(p.distortion)) <= 2e-3
 
-    def test_causal_dominates_classical_for_markov(self,
-                                                   classical_at_distortion):
+    def test_causal_dominates_classical_for_markov(self):
         T = np.array([[0.8, 0.2], [0.2, 0.8]])
         src = SourceModel.markov(UNIFORM2, T, 2)
         dist = DistortionModel.hamming(2, 2)
@@ -324,7 +323,8 @@ class TestSweep:
         for s in grid:
             causal = solve_fixed_s(src, dist, s)
             # classical solve at matched D via bisection on the classical curve
-            classic = classical_at_distortion(src, dist, causal.distortion)
+            classic = bisect_s_for_distortion(src, dist, causal.distortion,
+                                              solve=classical_ba)
             assert causal.rate >= classic.rate - 1e-9
 
     def test_warm_and_cold_modes_agree(self):
@@ -349,8 +349,10 @@ class TestSweep:
             assert abs(a.rate - b.rate) <= 1e-7
             assert abs(a.distortion - b.distortion) <= 1e-7
 
+    @pytest.mark.parametrize("solve", [solve_fixed_s, classical_ba])
     @pytest.mark.parametrize("s", [-0.5, -1.0, -3.0])
-    def test_warm_start_from_a_point_mass_reaches_the_cold_solution(self, s):
+    def test_warm_start_from_a_point_mass_reaches_the_cold_solution(self, s,
+                                                                    solve):
         # the D_max point mass holds every other mass at 0, and a
         # multiplicative update never revives a zero: WARM_MIX's share of
         # the uniform law is what lets the solve leave it
@@ -358,14 +360,14 @@ class TestSweep:
         assert _Workspace(src, dist, s).zero_rate() is None
         _, y_star = d_max_min_sequence(src, dist)
         warm = FinitePmf.point_mass(y_star[0] * 3 + y_star[1], 9).weights
-        a = solve_fixed_s(src, dist, s, warm_start=warm)
-        b = solve_fixed_s(src, dist, s)
+        a = solve(src, dist, s, warm_start=warm)
+        b = solve(src, dist, s)
         assert a.converged and b.converged
         assert abs(a.rate - b.rate) <= 1e-7
         assert abs(a.distortion - b.distortion) <= 1e-7
         # the start law has one form, the joint on Y^n
         with pytest.raises(ValueError):
-            solve_fixed_s(src, dist, s, warm_start=b.output.conditionals)
+            solve(src, dist, s, warm_start=b.output.conditionals)
 
     def test_long_horizon_builds_no_trajectory_matrix(self, monkeypatch):
         # n = 12: the (Nx, Ny) cost matrix would take 512 MB
@@ -611,19 +613,58 @@ class TestPropertiesReport:
         assert rep.monotone_ok and rep.zero_rate_at_dmax_ok
 
 
+@pytest.mark.parametrize("solve", [solve_fixed_s, classical_ba])
 class TestBisection:
-    def test_warm_steps_reach_the_cold_solution(self):
+    # (s, distortion, rate, rate_formula, iterations, converged, residual,
+    # gap) of cold solves on ternary_markov() at s = 0, -0.05 (inside the
+    # zero-rate interval), -0.76 and -3, recorded before the solvers shared
+    # their start; a cold solve must not move by one bit
+    COLD = {
+        "solve_fixed_s": [
+            "(0.0, 0.6666666666666667, 1.6017132519074583e-16, 0.0, 2, True, "
+            "5.551115123125783e-17, 1.6017132519074586e-16)",
+            "(-0.05, 0.605, 0.0, 0.0, 2, True, 0.0, 0.0)",
+            "(-0.76, 0.4582991836914747, 0.10454092202792661, "
+            "0.10454092202556453, 107, True, 8.062417601031948e-10, "
+            "2.7784823672692505e-10)",
+            "(-3.0, 0.07455928103528492, 1.0107452059949706, "
+            "1.0107452059949709, 42, True, 6.391645546166558e-11, "
+            "1.3745454646849662e-10)",
+        ],
+        "classical_ba": [
+            "(0.0, 0.6666666666666666, 2.3865527453421134e-16, 0.0, 2, True, "
+            "0.0, 0.0)",
+            "(-0.05, 0.605, 0.0, 1.3877787807814457e-17, 2, True, 0.0, 0.0)",
+            "(-0.76, 0.4208405897342834, 0.1281720137885276, "
+            "0.12817201378836213, 182, True, 1.9299384312887469e-10, "
+            "9.657486799653442e-10)",
+            "(-3.0, 0.09055700138569861, 0.9156462429331407, "
+            "0.9156462429331407, 65, True, 7.963798509535991e-10, "
+            "9.560434194411843e-11)",
+        ],
+    }
+
+    def test_cold_solves_are_unchanged(self, solve):
         src, dist = ternary_markov()
-        target = solve_fixed_s(src, dist, -0.76).distortion
-        p = bisect_s_for_distortion(src, dist, target)
-        cold = solve_fixed_s(src, dist, p.s)
+        grid = (0.0, -0.05, -0.76, -3.0)
+        for s, fields in zip(grid, self.COLD[solve.__name__]):
+            p = solve(src, dist, s)
+            assert repr((p.s, p.distortion, p.rate, p.rate_formula,
+                         p.iterations, p.converged, p.residual,
+                         p.gap)) == fields
+
+    def test_warm_steps_reach_the_cold_solution(self, solve):
+        src, dist = ternary_markov()
+        target = solve(src, dist, -0.76).distortion
+        p = bisect_s_for_distortion(src, dist, target, solve=solve)
+        cold = solve(src, dist, p.s)
         assert p.distortion == pytest.approx(target, abs=1e-6)
         assert abs(p.rate - cold.rate) <= 1e-7
         assert abs(p.distortion - cold.distortion) <= 1e-7
 
-    def test_hits_target_distortion(self):
+    def test_hits_target_distortion(self, solve):
         src = SourceModel.iid(UNIFORM2, 1)
         dist = DistortionModel.hamming(2, 1)
-        p = bisect_s_for_distortion(src, dist, 0.15)
+        p = bisect_s_for_distortion(src, dist, 0.15, solve=solve)
         assert p.distortion == pytest.approx(0.15, abs=1e-6)
         assert p.rate == pytest.approx(binary_hamming_rdf(0.15), abs=1e-5)
