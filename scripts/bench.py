@@ -12,7 +12,8 @@ The file, at the root of the checkout, has three parts:
   the metrics of each);
 * ``tier1``: the Tier-1 suite's wall time, its pass/fail counts and its 15
   slowest phases, parsed from pytest's own ``--durations=15`` report;
-* ``src_lines``: the line count of ``src/crdf/*.py``.
+* ``src_lines`` and ``test_lines``: the line counts of ``src/crdf/*.py``
+  and of ``tests/*.py``.
 
 It keeps no timer of its own.  A run takes several minutes.  It exits
 non-zero, writing no file, when ``perfbench/run.py`` fails (which it does
@@ -58,9 +59,8 @@ def tier1() -> dict:
             "wall_s": wall, "slowest": slowest}
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines())
-               for p in sorted((ROOT / "src" / "crdf").glob("*.py")))
+def line_count(pattern: str) -> int:
+    return sum(len(p.read_text().splitlines()) for p in ROOT.glob(pattern))
 
 
 def main() -> int:
@@ -68,7 +68,8 @@ def main() -> int:
     ap.add_argument("label", help="names the file BENCH_<label>.json")
     args = ap.parse_args()
     report = {"label": args.label, "perfbench": perfbench_summary(),
-              "tier1": tier1(), "src_lines": src_lines()}
+              "tier1": tier1(), "src_lines": line_count("src/crdf/*.py"),
+              "test_lines": line_count("tests/*.py")}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")

@@ -14,7 +14,6 @@ from .probability import (
     ShapeError,
     SourceModel,
     make_joint,
-    output_marginal,
     product_measure,
     validate_causal,
 )

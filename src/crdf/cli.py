@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,11 +22,12 @@ from .coding import simulate
 from .distortion import d_max_product
 from .information import check_causality_equivalence
 from .oracle import brute_force_lagrangian, compare
-from .probability import CausalKernelChain
+from .probability import CausalKernelChain, check_tol
 from .serialization import ConfigError, read_field
 from .solver import (
     RDCurve,
     SolverOptions,
+    check_s,
     d_max_min_sequence,
     default_s_grid,
     properties_report,
@@ -64,12 +64,17 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _given(block: dict, where, **kinds) -> dict:
+    """The keys of ``kinds`` that ``block`` sets, each read by its kind;
+    the library's defaults stand for the others."""
+    return {key: read_field(block, key, where, kind)
+            for key, kind in kinds.items() if key in block}
+
+
 def _solver_options(cfg: dict) -> SolverOptions:
-    sol = cfg.get("solver", {})
-    tol = read_field(sol, "tol", "solver", float, 1e-9)
-    max_iters = read_field(sol, "max_iters", "solver", int, 20000)
+    opts = _given(cfg.get("solver", {}), "solver", tol=float, max_iters=int)
     with ser.reading("solver"):
-        return SolverOptions(tol=tol, max_iters=max_iters)
+        return SolverOptions(**opts)
 
 
 def _problem(cfg: dict):
@@ -81,28 +86,26 @@ def _problem(cfg: dict):
     return source, dist
 
 
-def _kernel_from_config(cfg: dict):
+def _kernel_from_config(cfg: dict, source):
+    """The kernel block, of either kind, checked against the source."""
     k = read_field(cfg, "kernel")
     if k.get("kind") in ("stages", "memoryless"):
-        return ser.chain_from_dict(k, "kernel")
-    return ser.general_kernel_from_dict(k, "kernel")
-
-
-def _multiplier(value) -> float:
-    s = float(value)
-    if not (math.isfinite(s) and s <= 0):
-        raise ValueError("multiplier must be finite and <= 0")
-    return s
+        kernel = ser.chain_from_dict(k, "kernel")
+    else:
+        kernel = ser.general_kernel_from_dict(k, "kernel")
+    with ser.reading("kernel"):
+        source.check_kernel(kernel)
+    return kernel
 
 
 def _s_value(cfg: dict) -> float:
-    return read_field(cfg.get("solver", {}), "s", "solver", _multiplier)
+    return read_field(cfg.get("solver", {}), "s", "solver", check_s)
 
 
 def _s_grid(cfg: dict) -> list:
     # s = 0 ends every grid; sweep drops the repeat
     grid = read_field(cfg.get("solver", {}), "s_grid", "solver",
-                      lambda g: [_multiplier(s) for s in g] + [0.0], None)
+                      lambda g: [check_s(s) for s in g] + [0.0], None)
     return default_s_grid() if grid is None else grid
 
 
@@ -170,16 +173,14 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     if command == "oracle":
         source, dist = _problem(cfg)
         ocfg = cfg.get("oracle", {})
-        budget = read_field(ocfg, "budget", "oracle", int, 500)
-        tol = read_field(ocfg, "tol", "oracle", float, 1e-3)
-        if not tol > 0:
-            raise ConfigError("oracle.tol", "must be > 0")
+        search = _given(ocfg, "oracle", method=None, budget=int)
+        check = _given(ocfg, "oracle", tol=check_tol)
         s = _s_value(cfg)
         point = solve_fixed_s(source, dist, s, _solver_options(cfg))
-        result = brute_force_lagrangian(
-            source, dist, s, method=ocfg.get("method", "grid"),
-            budget=budget, seed=seed)
-        report = compare(point, result, tol=tol)
+        with ser.reading("oracle"):
+            result = brute_force_lagrangian(source, dist, s, seed=seed,
+                                            **search)
+            report = compare(point, result, **check)
         _write_json(out_dir, "oracle.json", {
             "schema": ser.SCHEMA, **asdict(report),
             "solver_lagrangian": point.lagrangian(),
@@ -194,17 +195,18 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         rate = read_field(sim, "rate", "sim", float)
         trials = read_field(sim, "trials", "sim", int)
         epsilon = read_field(sim, "epsilon", "sim", float)
-        target_d = read_field(sim, "target_d", "sim", float, None)
+        target = _given(sim, "sim", target_d=float)
         if "kernel" in cfg:
-            chain = _kernel_from_config(cfg)
+            chain = _kernel_from_config(cfg, source)
             if not isinstance(chain, CausalKernelChain):
                 raise ConfigError("kernel", "simulate requires a causal chain")
         else:
             point = solve_fixed_s(source, dist, _s_value(cfg),
                                   _solver_options(cfg))
             chain = point.chain
-        report = simulate(source, dist, chain, rate, trials, epsilon, seed,
-                          target_d=target_d)
+        with ser.reading("sim"):
+            report = simulate(source, dist, chain, rate, trials, epsilon,
+                              seed, **target)
         _write_json(out_dir, "sim_report.json",
                     {"schema": ser.SCHEMA, **asdict(report)})
         return 0
@@ -223,8 +225,8 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     if command == "info":
         source, dist = _problem(cfg)
         report = check_causality_equivalence(
-            source, _kernel_from_config(cfg),
-            tol=read_field(cfg, "tol", None, float, 1e-9))
+            source, _kernel_from_config(cfg, source),
+            **_given(cfg, None, tol=check_tol))
         _write_json(out_dir, "info.json",
                     {"schema": ser.SCHEMA, **asdict(report),
                      "all_hold": report.all_hold})

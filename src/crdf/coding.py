@@ -7,11 +7,11 @@ through the causal chain, so a codeword is one source block pushed through
 :meth:`CausalKernelChain.sample`; Monte Carlo typicality draws its pairs
 the same way, and computes their densities and costs a row block at a
 time.  Typicality probabilities are probabilities of the joint law
-of (source, chain), never fractions of sampled blocks.  They are exact by
-full enumeration for stage chains, table distortions and small pair spaces,
-exact by a multinomial count recursion for per-letter chains over iid
-sources (any horizon), and Monte Carlo with reported standard errors
-otherwise.
+of (source, chain), never fractions of sampled blocks: exact by a
+multinomial count recursion for per-letter chains over iid sources (any
+horizon), else exact by enumeration of at most EXACT_PAIR_CAP pairs or of
+a table the spec already holds, else Monte Carlo for a per-letter chain,
+with reported standard errors; a compact stage chain is refused there.
 
 The coding trials run as array passes: trial t draws its uniforms from its
 own generator, seeded by (seed, t), one pass of
@@ -44,6 +44,8 @@ from .probability import (
 )
 
 EXACT_PAIR_CAP = 10**7
+# pairs that Monte Carlo typicality draws
+MC_SAMPLES = 200_000
 CODEBOOK_CAP = 2**20
 # compositions per block of the multinomial typicality sum
 MULTINOMIAL_CHUNK = 1 << 16
@@ -181,8 +183,9 @@ def _forward_output_logprob(source: SourceModel, W: np.ndarray,
     return out
 
 
-def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
+def _monte_carlo_typicality(spec: TypicalitySpec,
                             seed: int) -> TypicalityResult:
+    samples = MC_SAMPLES
     if spec.source.kind != "markov":
         raise ValueError("too many pairs to enumerate; Monte-Carlo "
                          "typicality requires a Markov source")
@@ -210,24 +213,27 @@ def _monte_carlo_typicality(spec: TypicalitySpec, samples: int,
 
 
 def typicality_probability(spec: TypicalitySpec,
-                           mc_samples: int = 200_000,
                            seed: int = 0) -> TypicalityResult:
     """P(T_eps) and P(D_eps) for the joint generated by the spec's chain.
 
-    A stage chain or a table distortion is enumerated: it already holds a
-    table with one entry per (x^n, y^n) pair.  A per-letter problem takes,
-    in order: the exact multinomial recursion (iid source), full enumeration
-    when the pair space has at most EXACT_PAIR_CAP atoms, and Monte Carlo
-    otherwise.
+    A per-letter problem over an iid source takes the multinomial recursion.
+    Otherwise the (x^n, y^n) pairs are enumerated when at most EXACT_PAIR_CAP
+    or when the spec holds a table over them (a full-history last stage, or
+    table costs).  Above the cap a per-letter chain takes Monte Carlo with
+    MC_SAMPLES pairs, and a compact (Markov-state) chain raises ValueError.
     """
-    if not (spec.chain.is_memoryless and spec.dist.is_single_letter):
-        return _enumeration_typicality(spec)
-    if spec.source.kind == "iid":
+    chain, n = spec.chain, spec.horizon
+    per_letter = chain.is_memoryless and spec.dist.is_single_letter
+    if per_letter and spec.source.kind == "iid":
         return _multinomial_typicality(spec)
-    pairs = (spec.source.alphabet * spec.chain.ny) ** (spec.horizon + 1)
-    if pairs <= EXACT_PAIR_CAP:
+    pairs = (spec.source.alphabet * chain.ny) ** (n + 1)
+    if (pairs <= EXACT_PAIR_CAP or not spec.dist.is_single_letter
+            or chain._full_history(n)):
         return _enumeration_typicality(spec)
-    return _monte_carlo_typicality(spec, mc_samples, seed)
+    if per_letter:
+        return _monte_carlo_typicality(spec, seed)
+    raise ValueError(f"typicality of a compact stage chain: {pairs} pairs "
+                     f"are above EXACT_PAIR_CAP = {EXACT_PAIR_CAP}")
 
 
 @dataclass(frozen=True)
@@ -254,8 +260,7 @@ def generate_codebook(source: SourceModel, chain: CausalKernelChain,
     deterministic per seed."""
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    if source.horizon != chain.horizon or source.alphabet != chain.nx:
-        raise ShapeError("source and chain horizons or X-alphabets differ")
+    source.check_kernel(chain)
     # compared as exponents: 2^((n+1)R) overflows a float long before R is
     # absurd
     bits = (chain.horizon + 1) * rate
@@ -310,12 +315,13 @@ def simulate(source: SourceModel, dist: DistortionModel,
     the whole codebook at a time.  The typicality fields are the
     probabilities of the joint law from :func:`typicality_probability`, not
     fractions of the trials, and ``target_d`` defaults to that law's mean
-    distortion.
+    distortion.  They come first, so a refused spec costs no encoding.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = source.horizon
     spec = TypicalitySpec(epsilon, n, source, chain, dist)
+    typ = typicality_probability(spec, seed=seed)
     book = generate_codebook(source, chain, rate, seed)
 
     k = source.block_uniforms
@@ -328,7 +334,6 @@ def simulate(source: SourceModel, dist: DistortionModel,
     mean_d = float(per_trial.mean())
     se_d = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
-    typ = typicality_probability(spec, seed=seed)
     if target_d is None:
         target_d = typ.mean_dist
     return SimReport(trials=trials, mean_distortion=mean_d,

@@ -138,9 +138,8 @@ class DistortionModel:
     def _all_pairs(self, length: int):
         """Letters of every (x^k, y^k) pair, k = ``length``, as (Nx, 1, k)
         and (1, Ny, k) arrays."""
-        xs = ix.to_letters(ix.all_indices(self.nx, length), self.nx, length)
-        ys = ix.to_letters(ix.all_indices(self.ny, length), self.ny, length)
-        return xs[:, None], ys[None]
+        return (ix.all_letters(self.nx, length)[:, None],
+                ix.all_letters(self.ny, length)[None])
 
     def stage_cost(self, i: int) -> np.ndarray:
         """rho_i as a matrix over (x^i, y^i) prefixes, shape (nx**(i+1), ny**(i+1))."""

@@ -16,11 +16,6 @@ import functools
 import numpy as np
 
 
-def num_trajectories(base: int, length: int) -> int:
-    """Number of length-``length`` trajectories over ``base`` symbols."""
-    return base**length
-
-
 def to_letters(indices, base: int, length: int) -> np.ndarray:
     """Decode trajectory indices into letter arrays of shape (..., length)."""
     idx = np.asarray(indices)
@@ -38,18 +33,10 @@ def from_letters(letters, base: int) -> np.ndarray:
     return arr @ weights
 
 
-def letter_at(indices, base: int, length: int, i: int) -> np.ndarray:
-    """Letter z_i of each trajectory index."""
-    return (np.asarray(indices) // base ** (length - 1 - i)) % base
-
-
-def prefix(indices, base: int, length: int, k: int) -> np.ndarray:
-    """Index of the length-``k`` prefix (z_0, ..., z_{k-1})."""
-    return np.asarray(indices) // base ** (length - k)
-
-
-def all_indices(base: int, length: int) -> np.ndarray:
-    return np.arange(num_trajectories(base, length), dtype=np.int64)
+def all_letters(base: int, length: int) -> np.ndarray:
+    """Letters of every trajectory, shape (base**length, length), in index
+    order."""
+    return to_letters(np.arange(base**length), base, length)
 
 
 @functools.lru_cache(maxsize=32)
@@ -62,12 +49,12 @@ def stage_maps(nx: int, ny: int, n: int) -> tuple:
     ``stage[..., hy, hx, yi]`` broadcasts to (..., Nx, Ny).  Cached per
     (nx, ny, n); the arrays are read-only.
     """
-    xs, ys = all_indices(nx, n + 1), all_indices(ny, n + 1)
+    xs, ys = all_letters(nx, n + 1), all_letters(ny, n + 1)
     maps = []
     for i in range(n + 1):
-        stage = (prefix(ys, ny, n + 1, i)[None, :],
-                 prefix(xs, nx, n + 1, i + 1)[:, None],
-                 letter_at(ys, ny, n + 1, i)[None, :])
+        stage = (from_letters(ys[:, :i], ny)[None, :],
+                 from_letters(xs[:, :i + 1], nx)[:, None],
+                 ys[:, i][None, :])
         for a in stage:
             a.setflags(write=False)
         maps.append(stage)

@@ -4,9 +4,11 @@ Mutual information, directed information, and the four-way equivalence
 report for causal kernels (causal factorization, the two Markov-chain
 conditions, and equality of mutual and directed information).
 
-All quantities are in bits.  The 0*log0 = 0 convention is applied
-atomwise.  Conditional terms are computed from exact joint atoms, and
-conditioning histories carrying less than 1e-15 mass are skipped.
+All quantities are in bits.  The 0*log0 = 0 convention is applied atomwise
+by ``_plogratio``, the one reader of ATOM_FLOOR, which every expectation
+of a log-ratio in the package calls.  Conditional terms are computed from
+exact joint atoms, and conditioning histories carrying less than 1e-15
+mass are skipped.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .probability import (
     JointMeasure,
     Kernel,
     SourceModel,
+    check_tol,
     make_joint,
     validate_causal,
 )
@@ -64,8 +67,7 @@ def directed_information_of_joint(joint: JointMeasure) -> float:
         J = J[:, keep, :]
         num = J * m_h[keep][None, :, None]
         den = m_ah[:, keep, None] * m_hy[keep][None, :, :]
-        s = J > ATOM_FLOOR
-        total += float(np.sum(J[s] * np.log2(num[s] / den[s])))
+        total += _plogratio(J, num, den)
     return total
 
 
@@ -132,6 +134,7 @@ def check_causality_equivalence(source: SourceModel, kernel: Kernel,
     For a kernel assembled from a causal chain all four must hold; for an
     anticausal kernel they all fail together (up to ``tol``).
     """
+    check_tol(tol)
     joint = make_joint(source, kernel)
     mi = mutual_information(joint)
     di = directed_information_of_joint(joint)

@@ -21,8 +21,8 @@ import numpy as np
 from . import indexing as ix
 from .distortion import DistortionModel
 from .information import LOG2E
-from .probability import CausalKernelChain, SourceModel
-from .solver import RateDistortionPoint
+from .probability import CausalKernelChain, SourceModel, check_tol
+from .solver import RateDistortionPoint, check_s
 
 # multistart descent: first mass-shift step, last step, sweeps per step
 DESCENT_STEP0 = 0.25
@@ -43,9 +43,6 @@ class OracleResult:
     evaluations: int
     method: str
     s: float
-    horizon: int
-    nx: int
-    ny: int
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -242,8 +239,7 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
     with one 1/200 refinement pass (n <= 1, alphabets <= 3); ``multistart``
     runs ``budget`` seeded interior starts of coordinate descent (n <= 2).
     """
-    if s > 0:
-        raise ValueError("Lagrange multiplier s must be <= 0")
+    check_s(s)
     dist.check_source(source)
     n, nx, ny = source.horizon, dist.nx, dist.ny
     if method == "grid":
@@ -270,8 +266,7 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
         raise ValueError("method must be 'grid' or 'multistart'")
     chain = CausalKernelChain.from_stages(best_stages, nx, ny)
     return OracleResult(best_value=best_val, best_chain=chain,
-                        evaluations=ev.evaluations, method=method,
-                        s=s, horizon=n, nx=nx, ny=ny)
+                        evaluations=ev.evaluations, method=method, s=s)
 
 
 @dataclass(frozen=True)
@@ -291,17 +286,17 @@ def compare(solver_point: RateDistortionPoint, oracle_result: OracleResult,
     Also reports the max entrywise kernel difference for diagnosis; kernels
     may legitimately differ when the optimum is not unique.
     """
-    chain = solver_point.chain
+    check_tol(tol)
+    chain, best = solver_point.chain, oracle_result.best_chain
     if chain is None:
         raise ValueError("solver point carries no causal chain")
     if (solver_point.s != oracle_result.s
-            or chain.horizon != oracle_result.horizon
-            or chain.nx != oracle_result.nx or chain.ny != oracle_result.ny):
+            or (chain.horizon, chain.nx, chain.ny)
+            != (best.horizon, best.nx, best.ny)):
         raise ValueError("solver point and oracle result describe different instances")
     value_diff = abs(solver_point.lagrangian() - oracle_result.best_value)
     kernel_diff = float(np.max(np.abs(
-        chain.conditional_matrix()
-        - oracle_result.best_chain.conditional_matrix())))
+        chain.conditional_matrix() - best.conditional_matrix())))
     return CompareReport(passed=value_diff <= tol,
                          value_difference=value_diff,
                          kernel_difference=kernel_diff, tol=tol)

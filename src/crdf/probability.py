@@ -33,6 +33,14 @@ class ShapeError(ValueError):
     """Alphabets or horizons of two objects do not agree."""
 
 
+def check_tol(tol) -> float:
+    """``tol`` as a float; raises ValueError unless it is > 0 (NaN fails)."""
+    tol = float(tol)
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    return tol
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -167,7 +175,7 @@ class CausalKernelChain:
         """Stage table q_i with shape (ny**i, nx**(i+1), ny)."""
         if self._full_history(i):
             return self.stages[i]
-        xlast = ix.all_indices(self.nx, i + 1) % self.nx
+        xlast = np.arange(self.nx ** (i + 1)) % self.nx
         if self.is_memoryless:
             return np.broadcast_to(self.letter_kernel[xlast][None, :, :],
                                    (self.ny**i, self.nx ** (i + 1), self.ny))
@@ -291,8 +299,7 @@ class SourceModel:
         n, a = self.horizon, self.alphabet
         if self.kind == "explicit":
             return self.joint_weights
-        idx = ix.all_indices(a, n + 1)
-        letters = ix.to_letters(idx, a, n + 1)
+        letters = ix.all_letters(a, n + 1)
         if self.kind == "iid":
             w = self.letter.weights[letters].prod(axis=1)
         else:
@@ -300,6 +307,12 @@ class SourceModel:
             for i in range(1, n + 1):
                 w *= self.transition[letters[:, i - 1], letters[:, i]]
         return w
+
+    def check_kernel(self, kernel) -> None:
+        """Raise ShapeError unless ``kernel``, of either kind, has this
+        source's horizon and alphabet as its input alphabet."""
+        if (kernel.horizon, kernel.nx) != (self.horizon, self.alphabet):
+            raise ShapeError("source and kernel horizons or alphabets differ")
 
     @property
     def block_uniforms(self) -> int:
@@ -398,10 +411,9 @@ class OutputProcess:
     @classmethod
     def memoryless(cls, letter, horizon: int):
         """The iid product of one per-letter pmf, expanded to its joint."""
-        w = FinitePmf(letter).weights
-        ny = w.shape[0]
-        lets = ix.to_letters(ix.all_indices(ny, horizon + 1), ny, horizon + 1)
-        return cls(ny=ny, horizon=horizon, joint=w[lets].prod(axis=1))
+        pmf = FinitePmf(letter)
+        return cls(ny=pmf.size, horizon=horizon,
+                   joint=SourceModel.iid(pmf, horizon).joint_pmf())
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +422,7 @@ class OutputProcess:
 
 def make_joint(source: SourceModel, kernel: Kernel) -> JointMeasure:
     """Joint measure P = mu (x) q of a source and a causal or general kernel."""
-    if source.horizon != kernel.horizon or source.alphabet != kernel.nx:
-        raise ShapeError("source and kernel shapes differ")
+    source.check_kernel(kernel)
     mu = source.joint_pmf()
     return JointMeasure(nx=kernel.nx, ny=kernel.ny, horizon=kernel.horizon,
                         pmf=mu[:, None] * kernel.conditional_matrix())
@@ -433,12 +444,6 @@ def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
             where=parent[:, None] > UNREACHABLE_MASS))
         child = parent
     return conditionals
-
-
-def output_marginal(joint: JointMeasure) -> OutputProcess:
-    """Marginal nu(y^n) of a joint measure."""
-    return OutputProcess(ny=joint.ny, horizon=joint.horizon,
-                         joint=joint.y_marginal())
 
 
 def product_measure(source: SourceModel, output: OutputProcess) -> JointMeasure:
@@ -477,8 +482,8 @@ def validate_causal(kernel: Kernel, source: SourceModel,
     Returns a truthy :class:`CausalityCheck`; on failure the witness carries
     the first violating stage and histories and the max deviation found there.
     """
-    if source.horizon != kernel.horizon or source.alphabet != kernel.nx:
-        raise ShapeError("source and kernel shapes differ")
+    check_tol(tol)
+    source.check_kernel(kernel)
     n, nx, ny = kernel.horizon, kernel.nx, kernel.ny
     mu = source.joint_pmf()
     q = kernel.conditional_matrix()

@@ -1,4 +1,6 @@
-"""Seeded random instance generators for property tests and multistart.
+"""Seeded random instance generators for property tests.
+
+The multistart oracle draws its own starts and does not use this module.
 
 All generators take an explicit ``numpy.random.Generator`` so callers control
 determinism.

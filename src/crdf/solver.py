@@ -77,7 +77,7 @@ import numpy as np
 
 from . import indexing as ix
 from .distortion import DistortionModel, average_distortion
-from .information import ATOM_FLOOR, LOG2E, mutual_information
+from .information import LOG2E, _plogratio, mutual_information
 from .probability import (
     CausalKernelChain,
     FinitePmf,
@@ -87,6 +87,7 @@ from .probability import (
     ShapeError,
     SourceModel,
     _chain_rule_conditionals,
+    check_tol,
 )
 
 
@@ -118,10 +119,17 @@ class SolverOptions:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if not self.tol > 0:                    # NaN fails too
-            raise ValueError("tol must be > 0")
+        check_tol(self.tol)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+def check_s(s) -> float:
+    """``s`` as a float, if it is a legal multiplier; else ValueError."""
+    s = float(s)
+    if not (math.isfinite(s) and s <= 0):
+        raise ValueError("Lagrange multiplier s must be finite and <= 0")
+    return s
 
 
 @dataclass(frozen=True)
@@ -274,8 +282,7 @@ class _Workspace:
     """
 
     def __init__(self, source: SourceModel, dist: DistortionModel, s: float):
-        if not (math.isfinite(s) and s <= 0):
-            raise ValueError("Lagrange multiplier s must be finite and <= 0")
+        check_s(s)
         dist.check_source(source)
         n, nx, ny = source.horizon, dist.nx, dist.ny
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
@@ -445,19 +452,15 @@ class _Workspace:
 
         Directed information is sum_i E[log2 q_i / nu_i], with nu_i the
         chain-rule conditional of the output law; it does not use the
-        telescoped rate formula, so it stays a cross-check of it.  Atoms of
-        at most ATOM_FLOOR are dropped before dividing, as in
-        ``directed_information_of_joint``.
+        telescoped rate formula, so it stays a cross-check of it.
         """
         d = di = 0.0
         for q, a, rho in zip(stages, self.prefix_laws(stages), self.cost):
             p = a[:, :, None] * q                        # P(y^{i-1}, x^i, y_i)
             d += float(np.sum(p * rho))
             py = p.sum(axis=1)                           # P(y^{i-1}, y_i)
-            keep = p > ATOM_FLOOR
-            num = (q * py.sum(axis=1)[:, None, None])[keep]
-            den = np.broadcast_to(py[:, None, :], p.shape)[keep]
-            di += float(np.sum(p[keep] * np.log2(num / den)))
+            di += _plogratio(p, q * py.sum(axis=1)[:, None, None],
+                             np.broadcast_to(py[:, None, :], p.shape))
         return py.reshape(-1), d, di
 
 
@@ -581,13 +584,12 @@ def gateaux_derivative(source: SourceModel, q0: Kernel, q1: Kernel) -> float:
     Evaluates sum_{x,y} mu(x) (q1 - q0)(y|x) log2(q0(y|x) / nu0(y)) exactly;
     q0 must be strictly positive on every row the source reaches.
     """
+    source.check_kernel(q0)
     K0 = q0.conditional_matrix()
     K1 = q1.conditional_matrix()
     if K0.shape != K1.shape:
         raise ShapeError("q0 and q1 have different shapes")
     mu = source.joint_pmf()
-    if mu.shape[0] != K0.shape[0]:
-        raise ShapeError("source and kernel shapes differ")
     reachable = mu > 0
     if np.any(K0[reachable] <= 0):
         raise ValueError("q0 must be strictly positive on reachable rows")

@@ -14,6 +14,10 @@ BASE = {
 }
 
 
+BSC_KERNEL = {"kind": "memoryless", "horizon": 1,
+              "letter_kernel": [[0.75, 0.25], [0.25, 0.75]]}
+
+
 def write_config(tmp_path, extra, name="config.json"):
     cfg = {**BASE, **extra}
     path = tmp_path / name
@@ -395,6 +399,21 @@ class TestValidation:
                                   "ny": 1.5}}, "distortion.ny"),
         ("solve", {"solver": {"s": -1.0, "max_iters": "3"}},
          "solver.max_iters"),
+        ("oracle", {"oracle": {"method": "bogus"}}, "oracle: method"),
+        ("oracle", {"oracle": {"method": "multistart", "budget": 0}},
+         "oracle: budget"),
+        ("simulate", {"sim": {"rate": -0.5, "trials": 20, "epsilon": 0.1}},
+         "sim: rate"),
+        ("simulate", {"sim": {"rate": 0.5, "trials": 0, "epsilon": 0.1}},
+         "sim: trials"),
+        ("simulate", {"sim": {"rate": 0.5, "trials": 20, "epsilon": -0.1}},
+         "sim: epsilon"),
+        ("simulate", {"kernel": {**BSC_KERNEL, "horizon": 2},
+                      "sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1}},
+         "kernel: source and kernel"),
+        ("info", {"kernel": BSC_KERNEL, "tol": float("nan")}, "tol"),
+        ("info", {"kernel": BSC_KERNEL, "tol": -1.0}, "tol"),
+        ("info", {"kernel": BSC_KERNEL, "tol": 0}, "tol"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, command,
                                              extra, field):

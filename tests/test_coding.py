@@ -142,14 +142,15 @@ class TestTypicality:
         assert 0.0 <= res.p_info <= 1.0
         assert 0.0 <= res.p_dist <= 1.0
 
-    def test_markov_source_large_falls_back_to_monte_carlo(self):
+    def test_markov_source_large_falls_back_to_monte_carlo(self, monkeypatch):
         n = 12   # 4^(n+1) pairs exceeds the enumeration cap
         T = np.array([[0.8, 0.2], [0.2, 0.8]])
         src = SourceModel.markov(FinitePmf.uniform(2), T, n)
         spec = TypicalitySpec(epsilon=0.1, horizon=n, source=src,
                               chain=CausalKernelChain.memoryless(W_QUARTER, n),
                               dist=DistortionModel.hamming(2, n))
-        res = typicality_probability(spec, mc_samples=20_000, seed=1)
+        monkeypatch.setattr(coding, "MC_SAMPLES", 20_000)
+        res = typicality_probability(spec, seed=1)
         assert res.method == "monte_carlo"
         assert res.se_info > 0 and res.se_dist > 0
         assert 0.0 <= res.p_info <= 1.0
@@ -159,9 +160,10 @@ class TestTypicality:
         assert res.p_dist == 0.6732
 
     def test_dispatch_under_a_small_pair_cap(self, monkeypatch):
-        # stage chains and table distortions hold one entry per pair, so
-        # they enumerate whatever the cap; a per-letter Markov spec above
-        # the cap goes to Monte Carlo
+        # a full-history stage chain and table distortions hold one entry
+        # per pair, so they enumerate whatever the cap; a per-letter Markov
+        # spec above the cap goes to Monte Carlo, and a compact
+        # (Markov-state) chain above it is refused
         monkeypatch.setattr(coding, "EXACT_PAIR_CAP", 4)
         n = 2
         spec = bsc_spec(n)
@@ -180,8 +182,23 @@ class TestTypicality:
         assert typicality_probability(staged).method == "enumeration"
         assert typicality_probability(tabled).method == "enumeration"
         assert typicality_probability(spec).method == "multinomial"
-        res = typicality_probability(markov, mc_samples=2000, seed=1)
+        monkeypatch.setattr(coding, "MC_SAMPLES", 2000)
+        res = typicality_probability(markov, seed=1)
         assert res.method == "monte_carlo"
+        compact = TypicalitySpec(
+            epsilon=0.05, horizon=n, source=markov.source, dist=spec.dist,
+            chain=solve_fixed_s(markov.source, spec.dist, -1.0).chain)
+        assert compact.chain.stages[n].shape == (4, 2, 2)
+
+        def no_table(*args):
+            raise AssertionError("built a table over all pairs")
+        # neither a pair table nor the encoder's work comes before the refusal
+        monkeypatch.setattr(coding, "_enumeration_typicality", no_table)
+        monkeypatch.setattr(coding, "generate_codebook", no_table)
+        with pytest.raises(ValueError, match="EXACT_PAIR_CAP = 4"):
+            typicality_probability(compact)
+        with pytest.raises(ValueError, match="EXACT_PAIR_CAP = 4"):
+            simulate(markov.source, spec.dist, compact.chain, 0.5, 10, 0.05, 0)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_non_finite_epsilon_rejected(self, epsilon):

@@ -6,6 +6,7 @@ from crdf import (
     CausalKernelChain,
     DistortionModel,
     FinitePmf,
+    OutputProcess,
     ShapeError,
     SourceModel,
     average_distortion,
@@ -14,7 +15,6 @@ from crdf import (
     d_max_min_sequence,
     d_max_product,
     make_joint,
-    output_marginal,
     sweep,
 )
 from crdf.sampling import random_chain, random_markov_source
@@ -184,6 +184,7 @@ class TestDmax:
         src = random_markov_source(rng, 2, 2)
         dist = DistortionModel.hamming(2, 2)
         chain = random_chain(rng, 2, 2, 2)
-        out = output_marginal(make_joint(src, chain))
+        out = OutputProcess(ny=2, horizon=2,
+                            joint=make_joint(src, chain).y_marginal())
         assert (d_max_product(src, out, dist)
                 >= d_max_min_sequence(src, dist)[0] - 1e-12)

@@ -9,19 +9,12 @@ from crdf.sampling import random_chain
 
 @given(st.integers(2, 5), st.integers(1, 6))
 def test_roundtrip_all_indices(base, length):
-    idx = ix.all_indices(base, length)
+    idx = np.arange(base**length)
     letters = ix.to_letters(idx, base, length)
     assert letters.shape == (base**length, length)
     back = ix.from_letters(letters, base)
     assert np.array_equal(back, idx)
-
-
-@given(st.integers(2, 4), st.integers(2, 5), st.data())
-def test_letter_at_matches_expansion(base, length, data):
-    i = data.draw(st.integers(0, length - 1))
-    idx = ix.all_indices(base, length)
-    letters = ix.to_letters(idx, base, length)
-    assert np.array_equal(ix.letter_at(idx, base, length, i), letters[:, i])
+    assert np.array_equal(ix.all_letters(base, length), letters)
 
 
 def test_time_zero_is_most_significant():
@@ -30,28 +23,10 @@ def test_time_zero_is_most_significant():
     assert list(ix.to_letters(np.array([4]), 2, 3)[0]) == [1, 0, 0]
 
 
-@given(st.integers(2, 4), st.integers(1, 5), st.data())
-def test_prefix_truncates_leading_letters(base, length, data):
-    k = data.draw(st.integers(0, length))
-    idx = ix.all_indices(base, length)
-    pre = ix.prefix(idx, base, length, k)
-    letters = ix.to_letters(idx, base, length)
-    if k == 0:
-        assert np.all(pre == 0)
-    else:
-        expect = ix.from_letters(letters[:, :k], base)
-        assert np.array_equal(pre, expect)
-
-
-def test_num_trajectories():
-    assert ix.num_trajectories(3, 4) == 81
-    assert ix.num_trajectories(2, 0) == 1
-
-
 def naive_product(stages, nx, ny, n):
     """prod_i q_i(y_i | y^{i-1}, x^i), one trajectory pair at a time."""
-    xs = ix.to_letters(ix.all_indices(nx, n + 1), nx, n + 1)
-    ys = ix.to_letters(ix.all_indices(ny, n + 1), ny, n + 1)
+    xs = ix.all_letters(nx, n + 1)
+    ys = ix.all_letters(ny, n + 1)
     K = np.ones(stages[0].shape[:-3] + (len(xs), len(ys)))
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
@@ -87,8 +62,8 @@ def test_batched_gather_matches_naive_product(nx, ny, n):
 def test_memoryless_gather_matches_letter_product(nx, ny, n):
     W = np.random.default_rng(3).dirichlet(np.ones(ny), size=nx)
     chain = CausalKernelChain.memoryless(W, n)
-    xs = ix.to_letters(ix.all_indices(nx, n + 1), nx, n + 1)
-    ys = ix.to_letters(ix.all_indices(ny, n + 1), ny, n + 1)
+    xs = ix.all_letters(nx, n + 1)
+    ys = ix.all_letters(ny, n + 1)
     want = W[xs[:, None, :], ys[None, :, :]].prod(axis=2)
     assert np.allclose(chain.conditional_matrix(), want, rtol=1e-14, atol=0)
 

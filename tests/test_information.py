@@ -11,6 +11,7 @@ from crdf import (
     check_causality_equivalence,
     make_joint,
     mutual_information,
+    validate_causal,
 )
 from crdf.information import directed_information_of_joint
 from crdf.sampling import (
@@ -93,3 +94,15 @@ class TestCausalityEquivalenceReport:
         assert not rep.all_hold
         assert not rep.causal_factorization
         assert not rep.info_equal
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_non_positive_tol_rejected(self, tol):
+        # with tol NaN every comparison is false, so an anticausal kernel
+        # would pass three of the four tests
+        rng = np.random.default_rng(37)
+        src = random_iid_source(rng, 3, 1)
+        ker = anticausal_swap_kernel(rng, 3)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            check_causality_equivalence(src, ker, tol=tol)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            validate_causal(ker, src, tol=tol)

@@ -150,6 +150,16 @@ class TestMultistartOracle:
         with pytest.raises(ValueError):
             brute_force_lagrangian(src, DistortionModel.hamming(2, 0), 1.0)
 
+    @pytest.mark.parametrize("method", ["grid", "multistart"])
+    @pytest.mark.parametrize("s", [float("nan"), float("-inf"), 0.5])
+    def test_multiplier_outside_the_solver_range_rejected(self, s, method):
+        # the solver's rule, for either method: a NaN s would otherwise
+        # reach the search
+        src = SourceModel.iid(UNIFORM2, 0)
+        with pytest.raises(ValueError, match="finite and <= 0"):
+            brute_force_lagrangian(src, DistortionModel.hamming(2, 0), s,
+                                   method=method, budget=2)
+
 
 class TestCompare:
     def test_identical_inputs_pass_with_zero_difference(self):
@@ -182,3 +192,12 @@ class TestCompare:
         r = brute_force_lagrangian(src, dist, -2.0, method="grid")
         with pytest.raises(ValueError):
             compare(p, r)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+    def test_non_positive_tol_rejected(self, tol):
+        src = SourceModel.iid(UNIFORM2, 0)
+        dist = DistortionModel.hamming(2, 0)
+        p = solve_fixed_s(src, dist, -1.0)
+        r = brute_force_lagrangian(src, dist, -1.0, method="grid")
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            compare(p, r, tol=tol)

@@ -13,7 +13,6 @@ from crdf import (
     check_causality_equivalence,
     gateaux_derivative,
     make_joint,
-    output_marginal,
     product_measure,
     solve_fixed_s,
     validate_causal,
@@ -189,7 +188,7 @@ class TestChainSampler:
         rng = np.random.default_rng(2026)
         y = chain.sample(src.sample(draws, rng), rng)
         freq = np.bincount(ix.from_letters(y, 2), minlength=8) / draws
-        nu = output_marginal(make_joint(src, chain)).joint
+        nu = make_joint(src, chain).y_marginal()
         sigma = np.sqrt(nu * (1 - nu) / draws)
         assert np.all(np.abs(freq - nu) <= 5 * sigma)
 
@@ -269,14 +268,15 @@ class TestJointAndMarginals:
         src = random_markov_source(rng, 2, 2)
         chain = random_chain(rng, 2, 2, 2)
         jm = make_joint(src, chain)
-        out = output_marginal(jm)
+        out = OutputProcess(ny=2, horizon=2, joint=jm.y_marginal())
         assert np.allclose(out.joint, jm.y_marginal(), atol=1e-12)
 
     def test_output_conditionals_recompose(self):
         rng = np.random.default_rng(17)
         src = random_iid_source(rng, 2, 1)
         chain = random_chain(rng, 2, 2, 1)
-        out = output_marginal(make_joint(src, chain))
+        out = OutputProcess(ny=2, horizon=1,
+                            joint=make_joint(src, chain).y_marginal())
         nu0 = out.conditionals[0]   # (1, ny)
         nu1 = out.conditionals[1]   # (ny, ny)
         rebuilt = (nu0.ravel()[:, None] * nu1).ravel()
@@ -287,8 +287,8 @@ class TestJointAndMarginals:
         # for every trajectory length
         W = np.array([[0.9, 0.1], [0.1, 0.9]])
         src = SourceModel.iid(FinitePmf.uniform(2), 1)
-        out = output_marginal(make_joint(src, CausalKernelChain.memoryless(W, 1)))
-        assert np.allclose(out.joint, 0.25)
+        nu = make_joint(src, CausalKernelChain.memoryless(W, 1)).y_marginal()
+        assert np.allclose(nu, 0.25)
 
     def test_memoryless_output_dead_rows_are_uniform(self):
         out = OutputProcess.memoryless(np.array([0.0, 1.0]), 1)
@@ -300,7 +300,8 @@ class TestJointAndMarginals:
         rng = np.random.default_rng(19)
         src = random_iid_source(rng, 2, 1)
         chain = random_chain(rng, 2, 2, 1)
-        out = output_marginal(make_joint(src, chain))
+        out = OutputProcess(ny=2, horizon=1,
+                            joint=make_joint(src, chain).y_marginal())
         pm = product_measure(src, out)
         assert np.allclose(pm.pmf, np.outer(src.joint_pmf(), out.joint))
 

@@ -25,7 +25,7 @@ from crdf import (
     SolverOptions,
 )
 from crdf.information import LOG2E, directed_information_of_joint
-from crdf.probability import JointMeasure, output_marginal
+from crdf.probability import JointMeasure
 from crdf.sampling import random_chain, random_markov_source, random_pmf
 from crdf.solver import _Workspace, _natural_step, _normalized
 
@@ -211,7 +211,7 @@ class TestOutputLawForwardPass:
         assert ws.markov == (kind in ("iid", "markov"))
         chain = _chain_for(ws, rng)
         nu = ws.output_law(chain.stages)
-        expected = output_marginal(make_joint(src, chain)).joint
+        expected = make_joint(src, chain).y_marginal()
         assert nu.shape == expected.shape
         assert np.max(np.abs(nu - expected)) <= 1e-15
 
