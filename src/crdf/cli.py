@@ -22,7 +22,7 @@ from .coding import simulate
 from .distortion import d_max_product
 from .information import check_causality_equivalence
 from .oracle import brute_force_lagrangian, compare
-from .probability import CausalKernelChain, check_tol
+from .probability import CausalKernelChain, ShapeError, check_tol
 from .serialization import ConfigError, read_field
 from .solver import (
     RDCurve,
@@ -86,8 +86,9 @@ def _problem(cfg: dict):
     return source, dist
 
 
-def _kernel_from_config(cfg: dict, source):
-    """The kernel block, of either kind, checked against the source."""
+def _kernel_from_config(cfg: dict, source, dist):
+    """The kernel block, of either kind, checked against the source and
+    the distortion's output alphabet."""
     k = read_field(cfg, "kernel")
     if k.get("kind") in ("stages", "memoryless"):
         kernel = ser.chain_from_dict(k, "kernel")
@@ -95,6 +96,9 @@ def _kernel_from_config(cfg: dict, source):
         kernel = ser.general_kernel_from_dict(k, "kernel")
     with ser.reading("kernel"):
         source.check_kernel(kernel)
+        if kernel.ny != dist.ny:
+            raise ShapeError(f"kernel output alphabet {kernel.ny} != "
+                             f"distortion ny {dist.ny}")
     return kernel
 
 
@@ -197,7 +201,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         epsilon = read_field(sim, "epsilon", "sim", float)
         target = _given(sim, "sim", target_d=float)
         if "kernel" in cfg:
-            chain = _kernel_from_config(cfg, source)
+            chain = _kernel_from_config(cfg, source, dist)
             if not isinstance(chain, CausalKernelChain):
                 raise ConfigError("kernel", "simulate requires a causal chain")
         else:
@@ -225,7 +229,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     if command == "info":
         source, dist = _problem(cfg)
         report = check_causality_equivalence(
-            source, _kernel_from_config(cfg, source),
+            source, _kernel_from_config(cfg, source, dist),
             **_given(cfg, None, tol=check_tol))
         _write_json(out_dir, "info.json",
                     {"schema": ser.SCHEMA, **asdict(report),

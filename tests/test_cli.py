@@ -16,6 +16,9 @@ BASE = {
 
 BSC_KERNEL = {"kind": "memoryless", "horizon": 1,
               "letter_kernel": [[0.75, 0.25], [0.25, 0.75]]}
+# three output letters against the binary Hamming distortion of BASE
+WIDE_KERNEL = {"kind": "memoryless", "horizon": 1,
+               "letter_kernel": [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]}
 
 
 def write_config(tmp_path, extra, name="config.json"):
@@ -411,6 +414,10 @@ class TestValidation:
         ("simulate", {"kernel": {**BSC_KERNEL, "horizon": 2},
                       "sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1}},
          "kernel: source and kernel"),
+        ("simulate", {"kernel": WIDE_KERNEL,
+                      "sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1}},
+         "kernel: kernel output alphabet"),
+        ("info", {"kernel": WIDE_KERNEL}, "kernel: kernel output alphabet"),
         ("info", {"kernel": BSC_KERNEL, "tol": float("nan")}, "tol"),
         ("info", {"kernel": BSC_KERNEL, "tol": -1.0}, "tol"),
         ("info", {"kernel": BSC_KERNEL, "tol": 0}, "tol"),

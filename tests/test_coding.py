@@ -464,6 +464,26 @@ class TestTrialDraws:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    # 2^100 + 7 is four words, so (seed, t) is five: past SeedSequence's
+    # pool of four, it runs the extra mixing loop
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
+                                      2**100 + 7])
+    @pytest.mark.parametrize("trials", [1, 300])
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_array_uniforms_match_the_trial_generators(self, seed, trials,
+                                                       k):
+        want = np.array([np.random.default_rng([seed, t]).random(k)
+                         for t in range(trials)])
+        got = coding._trial_uniforms(seed, trials, k)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0])
+        with pytest.raises(ValueError):
+            coding._trial_uniforms(-1, 3, 2)
+
 
 class TestEncoder:
     @pytest.mark.parametrize("kind", CODING_KINDS)
