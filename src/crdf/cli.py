@@ -113,16 +113,24 @@ def _s_grid(cfg: dict) -> list:
     return default_s_grid() if grid is None else grid
 
 
+def _output(out_dir: Path, name: str) -> Path:
+    """out_dir / name, creating out_dir: a command makes the directory only
+    once it writes, so a config that fails leaves none behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
     """Compact JSON with sorted keys, in one call to the C encoder."""
-    (out_dir / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    _output(out_dir, name).write_text(json.dumps(payload, sort_keys=True)
+                                      + "\n")
 
 
 def _write_kernels(out_dir: Path, curve: RDCurve) -> None:
     """kernels.json, one point at a time, so that only one point's lists
     exist at once; the bytes equal those of _write_json on the whole payload,
     whose sorted keys are d_max, points, schema."""
-    with open(out_dir / "kernels.json", "w") as fh:
+    with open(_output(out_dir, "kernels.json"), "w") as fh:
         fh.write(f'{{"d_max": {json.dumps(curve.d_max_reported)}, "points": [')
         for k, point in enumerate(curve.points):
             if k:
@@ -150,7 +158,6 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
     seed = read_field(cfg, "seed", None, int, 0)
     if seed < 0:
         raise ConfigError("seed", "must be >= 0")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if command == "solve":
         source, dist = _problem(cfg)
@@ -163,7 +170,7 @@ def run(command: str, cfg: dict, out_dir: Path, threads: int = 1) -> int:
         source, dist = _problem(cfg)
         curve = sweep(source, dist, _s_grid(cfg), _solver_options(cfg))
         if command == "sweep":
-            (out_dir / "curve.csv").write_text(ser.curve_to_csv(curve))
+            _output(out_dir, "curve.csv").write_text(ser.curve_to_csv(curve))
             _write_kernels(out_dir, curve)
             return 0
         report = properties_report(curve)

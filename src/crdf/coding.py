@@ -38,9 +38,9 @@ from .distortion import DistortionModel, average_distortion
 from .information import directed_information_of_joint
 from .probability import (
     CausalKernelChain,
-    JointMeasure,
     ShapeError,
     SourceModel,
+    _joint_and_conditional,
     row_blocks,
 )
 
@@ -146,11 +146,8 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
 
 
 def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
-    chain = spec.chain
     m = spec.horizon + 1
-    K = chain.conditional_matrix()
-    joint = JointMeasure(nx=chain.nx, ny=chain.ny, horizon=chain.horizon,
-                         pmf=spec.source.joint_pmf()[:, None] * K)
+    joint, K = _joint_and_conditional(spec.source, spec.chain)
     P = joint.pmf
     nu = joint.y_marginal()
     cost = spec.dist.total_cost_matrix() / m

@@ -422,10 +422,16 @@ class OutputProcess:
 
 def make_joint(source: SourceModel, kernel: Kernel) -> JointMeasure:
     """Joint measure P = mu (x) q of a source and a causal or general kernel."""
+    return _joint_and_conditional(source, kernel)[0]
+
+
+def _joint_and_conditional(source: SourceModel, kernel: Kernel) -> tuple:
+    """``make_joint``'s joint and the (Nx, Ny) conditional matrix it is
+    formed from, for a caller that needs both without building it twice."""
     source.check_kernel(kernel)
-    mu = source.joint_pmf()
-    return JointMeasure(nx=kernel.nx, ny=kernel.ny, horizon=kernel.horizon,
-                        pmf=mu[:, None] * kernel.conditional_matrix())
+    K = kernel.conditional_matrix()
+    return (JointMeasure(nx=kernel.nx, ny=kernel.ny, horizon=kernel.horizon,
+                         pmf=source.joint_pmf()[:, None] * K), K)
 
 
 def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:

@@ -28,6 +28,15 @@ falls; otherwise the step is replaced by the plain one and beta returns to
 positive into 0 (``_alternate``).  A solve has converged when the kernel
 moves less than ``tol`` and its gap is at most ``tol``.
 
+Newton step (classical Blahut-Arimoto).  With Q the kernel tilted at nu and
+P_Y = mu Q, the Jacobian of the fixed-point map in log coordinates is
+dP_Y(y) / dlog nu(y') = delta_{yy'} P_Y(y) - sum_x mu(x) Q(x,y) Q(x,y'),
+J = diag(P_Y) - Q^T diag(mu) Q, which costs no extra evaluation.  After a
+plain step whose gap does not fall, the next candidate solves
+(J / P_Y - I) t = -log r on the masses on the support and takes the plain
+step on the decaying ones; it is accepted when the gap strictly falls and
+halved otherwise (``_newton_step``).  The causal solver passes no Jacobian.
+
 State layout.  For an iid or Markov source with single-letter costs, q_i
 depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
 nx * ny^i rows instead of nx^(i+1) * ny^i, and the returned chain holds these
@@ -81,13 +90,14 @@ from .information import LOG2E, _plogratio, mutual_information
 from .probability import (
     CausalKernelChain,
     FinitePmf,
-    JointMeasure,
+    GeneralKernel,
     Kernel,
     OutputProcess,
     ShapeError,
     SourceModel,
     _chain_rule_conditionals,
     check_tol,
+    make_joint,
 )
 
 
@@ -95,6 +105,11 @@ from .probability import (
 WARM_MIX = 1e-6
 # largest exponent of the natural-gradient step on the output law
 BETA_MAX = 256.0
+# Newton step of classical Blahut-Arimoto: smallest mass and largest |log r|
+# of its support, and smallest scale tried before the plain path resumes
+NEWTON_FLOOR = 1e-200
+NEWTON_BAND = 1.0
+NEWTON_MIN_SCALE = 1.0 / 16.0
 
 # properties_report: slack of the monotone, chord and R = 0 tests, and the
 # margin below D_max from which the rate must be positive
@@ -210,62 +225,140 @@ def _gap(nu, p, n: int) -> float:
     return max(0.0, math.log2(float(np.max(p[live] / nu[live]))) / (n + 1))
 
 
-def _natural_step(nu, p, beta: float) -> tuple:
-    """Candidate output law nu * (p / nu)^beta, normalized, and its beta.
+def _guarded_step(nu, p, log_step, x: float, floor: float) -> tuple:
+    """Candidate exp(log_step(x)), normalized, and x; (None, x) once x is
+    below ``floor``.
 
-    Matz & Duhamel's (2004) natural-gradient step; beta = 1 is the plain
-    Blahut-Arimoto step and returns p itself.  The product is formed in log
-    space, shifted by its maximum, and beta is halved while the candidate
-    would turn a mass that p keeps positive into 0: a multiplicative update
-    never revives a zero, so such a step would lock onto a face of the
-    simplex.
+    ``log_step(x)`` is the log of the candidate, up to a constant, on the
+    masses of nu that are > 0; the others stay 0.  It is shifted by its
+    maximum, and x is halved while the candidate would turn a mass that p
+    keeps positive into 0: a multiplicative update never revives a zero, so
+    such a step would lock onto a face of the simplex, where the gap, which
+    reads only the masses > 0, cannot see it.
     """
-    if beta == 1.0:
-        return p, 1.0
     live, keep = nu > 0, p > 0
-    with np.errstate(divide="ignore"):            # log 0 where p has no mass
-        log_nu = np.log(nu[live])
-        log_r = np.log(p[live]) - log_nu
-    while beta > 1.0:
-        t = log_nu + beta * log_r
+    while x >= floor:
+        t = log_step(x)
         cand = np.zeros_like(nu)
         cand[live] = np.exp(t - t.max())
         cand /= cand.sum()
         if cand[keep].all():
-            return cand, beta
-        beta /= 2.0
-    return p, 1.0
+            return cand, x
+        x /= 2.0
+    return None, x
 
 
-def _alternate(evaluate, nu, n: int, opts: SolverOptions) -> tuple:
+def _natural_step(nu, p, beta: float) -> tuple:
+    """Candidate output law nu * (p / nu)^beta, normalized, and its beta.
+
+    Matz & Duhamel's (2004) natural-gradient step; beta = 1 is the plain
+    Blahut-Arimoto step and returns p itself, as does every beta that
+    ``_guarded_step`` halves down to 1.
+    """
+    if beta == 1.0:
+        return p, 1.0
+    live = nu > 0
+    with np.errstate(divide="ignore"):            # log 0 where p has no mass
+        log_nu = np.log(nu[live])
+        log_r = np.log(p[live]) - log_nu
+    cand, beta = _guarded_step(nu, p, lambda b: log_nu + b * log_r, beta,
+                               2.0)
+    return (p, 1.0) if cand is None else (cand, beta)
+
+
+def _newton_direction(nu, p, jac) -> Optional[tuple]:
+    """Newton step on log nu for the fixed point P_Y(nu) = nu, or None.
+
+    ``jac`` is J = dP_Y / dlog nu at nu.  On the support, the masses of nu
+    above NEWTON_FLOOR whose r = p / nu is within NEWTON_BAND of 1 in log,
+    it solves (J / P_Y - I) t = -log r; the other masses, which decay
+    towards 0, keep the plain step's log r.  Returns (t, support), or None
+    when the support is empty or the system is singular.
+    """
+    live = nu > 0
+    log_r = np.zeros_like(nu)
+    with np.errstate(divide="ignore"):            # log 0 where p has no mass
+        log_r[live] = np.log(p[live]) - np.log(nu[live])
+    on = live & (nu > NEWTON_FLOOR) & (np.abs(log_r) < NEWTON_BAND)
+    if not on.any():
+        return None
+    a = jac[np.ix_(on, on)] / p[on][:, None] - np.eye(int(on.sum()))
+    try:
+        t = np.linalg.solve(a, -log_r[on])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(t)):
+        return None
+    log_r[on] = t
+    return log_r, on
+
+
+def _newton_step(nu, p, direction, scale: float) -> tuple:
+    """Candidate nu * exp(scale * t) on the support and the plain step off
+    it, normalized, and its scale, halved by ``_guarded_step``; (None,
+    scale) once the scale is below NEWTON_MIN_SCALE."""
+    t, on = direction
+    live = nu > 0
+    log_nu = np.log(nu[live])
+    return _guarded_step(
+        nu, p, lambda x: log_nu + np.where(on, x * t, t)[live], scale,
+        NEWTON_MIN_SCALE)
+
+
+def _alternate(evaluate, nu, n: int, opts: SolverOptions,
+               jacobian=None) -> tuple:
     """Alternating minimization over the output law, safeguarded.
 
     ``evaluate(nu)`` returns the kernel tilted at the output law nu, a list
     of stage kernels, and the kernel's own output law P_Y; the first call is
-    at the start nu.  Each iteration evaluates one candidate from
-    ``_natural_step``.  A candidate is accepted when its certified gap
+    at the start nu.  Each iteration evaluates one candidate, from
+    ``_natural_step`` unless a Newton step is under way (below).  A
+    natural-gradient candidate is accepted when its certified gap
     strictly falls, and beta then doubles, up to BETA_MAX; otherwise the
     next candidate is the plain step from the last accepted law, with
     beta = 1.  A plain step is always taken, so with beta = 1 throughout
-    this is the plain Blahut-Arimoto iteration.  The solve has converged
-    when the kernel moves less than ``tol`` and the gap is at most ``tol``.
-    Returns (kernel, gap, iterations, converged), the kernel being the
-    converged candidate or else the last accepted one.
+    this is the plain Blahut-Arimoto iteration.
+
+    ``jacobian(q, p)``, if given, returns dP_Y / dlog nu at the last
+    accepted law from its kernel and output law.  Then a plain step whose
+    gap does not fall is followed by Newton candidates (``_newton_step``):
+    each is accepted when the gap strictly falls, and the next is formed at
+    the new law; a rejected one is retried at half its scale, and below
+    NEWTON_MIN_SCALE the plain path takes over again.
+
+    The solve has converged when the kernel moves less than ``tol`` and the
+    gap is at most ``tol``.  Returns (kernel, gap, iterations, converged),
+    the kernel being the converged candidate or else the last accepted one.
     """
     q, p = evaluate(nu)
     gap = _gap(nu, p, n)
-    beta = 1.0
+    beta, direction, scale = 1.0, None, 1.0
     iterations = 1
     for iterations in range(2, opts.max_iters + 1):
-        cand, used = _natural_step(nu, p, beta)
+        cand = None
+        if direction is not None:
+            cand, scale = _newton_step(nu, p, direction, scale)
+        if cand is None:
+            direction = None
+            cand, used = _natural_step(nu, p, beta)
         q_new, p_new = evaluate(cand)
         gap_new = _gap(cand, p_new, n)
         if _max_step(q_new, q) < opts.tol and gap_new <= opts.tol:
             return q_new, gap_new, iterations, True
         falls = gap_new < gap
+        if direction is not None:
+            if falls:
+                nu, q, p, gap = cand, q_new, p_new, gap_new
+                direction, scale = _newton_direction(
+                    nu, p, jacobian(q, p)), 1.0
+            else:
+                scale /= 2.0
+            continue
         if falls or used == 1.0:
             nu, q, p, gap = cand, q_new, p_new, gap_new
         beta = min(2.0 * used, BETA_MAX) if falls else 1.0
+        if jacobian is not None and used == 1.0 and not falls:
+            direction, scale = _newton_direction(nu, p, jacobian(q, p)), 1.0
     return q, gap, iterations, False
 
 
@@ -535,6 +628,13 @@ def sweep(source: SourceModel, dist: DistortionModel,
     return RDCurve(points=tuple(points), d_max_reported=dmax)
 
 
+def _ba_jacobian(mu, q, p) -> np.ndarray:
+    """dP_Y(y) / dlog nu(y') = delta_{yy'} P_Y(y) - sum_x mu(x) q(y|x) q(y'|x)
+    of classical Blahut-Arimoto, with q the kernel tilted at nu and
+    p = mu @ q: diag(P_Y) - Q^T diag(mu) Q, from values the iteration holds."""
+    return np.diag(p) - q.T @ (mu[:, None] * q)
+
+
 def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
                  opts: SolverOptions = SolverOptions(),
                  warm_start=None) -> RateDistortionPoint:
@@ -542,7 +642,10 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
 
     From the start ``solve_fixed_s`` takes, optimizes an unconstrained kernel
     q(y^n | x^n) at s and reports per-symbol (R, D) and the output law mu @ q;
-    the causal rate minus R is the rate loss due to causality.
+    the causal rate minus R is the rate loss due to causality.  The loop is
+    ``_alternate`` with the closed-form Jacobian ``_ba_jacobian``, so after
+    a plain step whose gap does not fall it tries Newton steps on the fixed
+    point mu @ q = nu (module docstring).
     """
     nu = _Workspace(source, dist, s).start(warm_start)
     n, nx, ny = source.horizon, dist.nx, dist.ny
@@ -562,12 +665,13 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
         q, _ = kernel(law)
         return [q], mu @ q
 
-    (q,), gap, iterations, converged = _alternate(evaluate, nu, n, opts)
+    (q,), gap, iterations, converged = _alternate(
+        evaluate, nu, n, opts, lambda q, p: _ba_jacobian(mu, q[0], p))
     output = OutputProcess(ny=ny, horizon=n, joint=mu @ q)
     q_next, log_z = kernel(output.joint)
     residual = _max_step([q_next], [q])
 
-    joint = JointMeasure(nx=nx, ny=ny, horizon=n, pmf=mu[:, None] * q)
+    joint = make_joint(source, GeneralKernel(nx=nx, ny=ny, horizon=n, table=q))
     d_norm = average_distortion(joint, dist)
     rate = mutual_information(joint) / (n + 1)
     log2_z = LOG2E * (log_z + s * low)

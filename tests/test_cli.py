@@ -439,6 +439,18 @@ class TestValidation:
         assert "error: kernel: chain stage 1" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", {"sim": {"rate": 0.5, "trials": 20, "epsilon": 0.1}}),
+        ("info", {}),
+    ])
+    def test_failed_config_leaves_no_output_directory(self, tmp_path, command,
+                                                      extra):
+        # the output directory used to be made before the kernel was read
+        cfg = write_config(tmp_path, {"kernel": WIDE_KERNEL, **extra})
+        out = tmp_path / "new"
+        assert run(command, cfg, out) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("ny", [1, 2, 3])
     def test_output_alphabet_key_rejected(self, tmp_path, capsys, ny):
         # the output alphabet is the distortion's; 3 used to crash the

@@ -27,7 +27,13 @@ from crdf import (
 from crdf.information import LOG2E, directed_information_of_joint
 from crdf.probability import JointMeasure
 from crdf.sampling import random_chain, random_markov_source, random_pmf
-from crdf.solver import _Workspace, _natural_step, _normalized
+from crdf.solver import (
+    _Workspace,
+    _ba_jacobian,
+    _natural_step,
+    _newton_step,
+    _normalized,
+)
 
 UNIFORM2 = FinitePmf.uniform(2)
 
@@ -47,6 +53,19 @@ def ternary_markov():
     T = np.array([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]])
     return (SourceModel.markov(FinitePmf([0.4, 0.3, 0.3]), T, 1),
             DistortionModel.hamming(3, 1))
+
+
+def mkv2_ham_n2():
+    T = np.array([[0.8, 0.2], [0.2, 0.8]])
+    return (SourceModel.markov(FinitePmf([0.5, 0.5]), T, 2),
+            DistortionModel.hamming(2, 2))
+
+
+def random_table_markov():
+    rng = np.random.default_rng(5)
+    return (random_markov_source(rng, 2, 1),
+            DistortionModel.from_tables([rng.random((2, 3)),
+                                         rng.random((4, 9))], 1))
 
 
 def binary_table_iid():
@@ -543,6 +562,57 @@ class TestSafeguardedStep:
         cand, beta = _natural_step(nu, p, 256.0)
         assert beta == 32.0
         assert np.all(cand > 0) and abs(cand.sum() - 1.0) <= 1e-15
+
+
+class TestNewtonStep:
+    """Classical Blahut-Arimoto's Newton step on the fixed point
+    P_Y(nu) = nu, in log nu."""
+
+    @pytest.mark.parametrize("instance, s", [(mkv2_ham_n2, -3.1348),
+                                             (random_table_markov, -1.7)])
+    def test_closed_form_jacobian_matches_central_differences(self, instance,
+                                                              s):
+        src, dist = instance()
+        mu = src.joint_pmf()
+        C = dist.total_cost_matrix()
+        E = np.exp(s * (C - C.min(axis=1)[:, None]))
+
+        def kernel(log_nu):
+            w = E * np.exp(log_nu)[None, :]
+            return w / w.sum(axis=1)[:, None]
+
+        log_nu = np.log(random_pmf(np.random.default_rng(0), C.shape[1],
+                                   floor=0.01).weights)
+        q = kernel(log_nu)
+        J = _ba_jacobian(mu, q, mu @ q)
+        h = 1e-6
+        fd = np.empty_like(J)
+        for k in range(len(log_nu)):
+            e = np.zeros_like(log_nu)
+            e[k] = h
+            fd[:, k] = mu @ (kernel(log_nu + e) - kernel(log_nu - e)) / (2 * h)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    def test_certifies_the_slow_classical_point(self):
+        # two output masses nearly leave the support here; the plain
+        # iteration needs 1,771 steps
+        src, dist = mkv2_ham_n2()
+        p = classical_ba(src, dist, -3.1348)
+        assert p.converged and p.iterations <= 100
+        assert p.gap <= 1e-12
+        assert abs(p.rate - p.rate_formula) <= 1e-9
+
+    def test_scale_halves_until_no_mass_underflows(self):
+        # the small mass is 1e-200 * exp(-500 * scale): 0 at scale 1,
+        # positive at 1/2, and 0 down to the smallest scale at -20000
+        nu = np.array([0.5, 0.5 - 1e-200, 1e-200])
+        on = np.ones(3, dtype=bool)
+        cand, scale = _newton_step(nu, nu, (np.array([0.0, 0.0, -500.0]),
+                                            on), 1.0)
+        assert scale == 0.5
+        assert np.all(cand > 0) and abs(cand.sum() - 1.0) <= 1e-15
+        cand, _ = _newton_step(nu, nu, (np.array([0.0, 0.0, -2e4]), on), 1.0)
+        assert cand is None
 
 
 class TestGateaux:

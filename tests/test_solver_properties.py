@@ -83,8 +83,16 @@ def test_solutions_are_finite_bounded_dominant_and_repeatable(instance):
 def test_a_converged_point_is_certified_within_tol(instance):
     source, dist, s = instance
     opts = SolverOptions()
-    for p in (solve_fixed_s(source, dist, s, opts),
-              classical_ba(source, dist, s, opts)):
+    classical = classical_ba(source, dist, s, opts)
+    for p in (solve_fixed_s(source, dist, s, opts), classical):
         assert math.isfinite(p.gap) and p.gap >= 0.0
         if p.converged:
             assert p.gap <= opts.tol
+    if classical.converged:
+        # Blahut's c(y) = sum_x mu(x) E(x,y) / Z(x) on every y, zero masses
+        # of the output law included: the gap reads only the masses > 0, so
+        # a step that zeroed a mass the optimum keeps would pass it
+        C = dist.total_cost_matrix()
+        E = np.exp(s * (C - C.min(axis=1)[:, None]))
+        c = source.joint_pmf() @ (E / (E @ classical.output.joint)[:, None])
+        assert math.log2(c.max()) / (source.horizon + 1) <= opts.tol
