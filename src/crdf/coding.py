@@ -7,11 +7,17 @@ through the causal chain, so a codeword is one source block pushed through
 :meth:`CausalKernelChain.sample`; Monte Carlo typicality draws its pairs
 the same way, and computes their densities and costs a row block at a
 time.  Typicality probabilities are probabilities of the joint law
-of (source, chain), never fractions of sampled blocks: exact by a
-multinomial count recursion for per-letter chains over iid sources (any
-horizon), else exact by enumeration of at most EXACT_PAIR_CAP pairs or of
-a table the spec already holds, else Monte Carlo for a per-letter chain,
-with reported standard errors; a compact stage chain is refused there.
+of (source, chain), never fractions of sampled blocks.  For a per-letter
+chain over an iid source they are exact by a multinomial sum over the
+compositions of n+1 into the distinct per-letter (lambda, rho) classes,
+cells grouped by exact float equality (the method of types): C(n+k, k-1)
+rows for k classes.  A symmetric channel on a uniform source with Hamming
+costs has 2 classes, so n+2 rows at any horizon.
+Otherwise, or when those compositions exceed EXACT_PAIR_CAP, they are exact
+by enumeration of at most EXACT_PAIR_CAP pairs or of a table the spec
+already holds, else Monte Carlo for a per-letter chain over an iid or
+Markov source, with reported standard errors; a compact stage chain is
+refused there.
 
 The coding trials run as array passes.  Trial t reads the doubles of
 ``default_rng([seed, t]).random(k)``, which array passes of numpy's
@@ -110,26 +116,50 @@ def _letter_cells(spec: TypicalitySpec):
     return cells
 
 
-def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
-    """Exact typicality for iid source + per-letter chain, any horizon.
+def _letter_classes(spec: TypicalitySpec) -> tuple:
+    """The letter cells merged by exact float equality of (lambda, rho).
 
-    The normalized density and distortion depend on the trajectory pair only
-    through its per-letter cell counts, so the probabilities reduce to a sum
-    of multinomial weights over compositions of n+1, taken
-    MULTINOMIAL_CHUNK at a time so that memory stays bounded.
+    Returns a dict from (lambda, rho) to the summed probability of its
+    cells, in order of first appearance, and the window centres (I, E[d])
+    per letter, taken over the cells.
     """
     cells = _letter_cells(spec)
+    probs, lams, rhos = (np.array(c) for c in zip(*cells))
+    classes = {}
+    for p, lam, rho in cells:
+        classes[lam, rho] = classes.get((lam, rho), 0.0) + p
+    return classes, (float(probs @ lams), float(probs @ rhos))
+
+
+def _compositions(m: int, k: int) -> int:
+    """Count vectors of k classes summing to m: C(m+k-1, k-1)."""
+    return math.comb(m + k - 1, k - 1)
+
+
+def _multinomial_typicality(spec: TypicalitySpec, classes: dict,
+                            centre: tuple) -> TypicalityResult:
+    """Exact typicality for iid source + per-letter chain, any horizon.
+
+    The normalized density and distortion of a trajectory pair are sums of
+    per-letter (lambda, rho) values, so they depend on the pair only
+    through how many of its n+1 letters fall in each distinct (lambda, rho)
+    class (the method of types, Csiszar & Korner 1981).  Under the iid law
+    the class counts are multinomial with the class probabilities (merging
+    cells of a multinomial is exact), so the probabilities reduce to a sum
+    of multinomial weights over the C(m+k-1, k-1) compositions of m = n+1
+    into the k classes, taken MULTINOMIAL_CHUNK at a time so that memory
+    stays bounded.  Only cells with equal doubles (lambda, rho) share a
+    class, so the windows see the same values as a sum over the cells, and
+    a spec whose cells are all distinct sums over its cells.
+    """
     m = spec.horizon + 1
-    probs = np.array([c[0] for c in cells])
-    lams = np.array([c[1] for c in cells])
-    rhos = np.array([c[2] for c in cells])
-    info_mean = float(probs @ lams)
-    dist_mean = float(probs @ rhos)
-    logp = np.log(probs)
+    info_mean, dist_mean = centre
+    logp = np.log(list(classes.values()))
+    values = np.array(list(classes))                  # (k, 2): lambda, rho
     lg = np.array([math.lgamma(c + 1) for c in range(m + 1)])
-    k = len(cells)
+    k = len(classes)
     # stars and bars: the gaps between k-1 bars among m+k-1 slots are counts
-    total = math.comb(m + k - 1, k - 1)
+    total = _compositions(m, k)
     bars = itertools.chain.from_iterable(
         itertools.combinations(range(m + k - 1), k - 1))
     p = np.zeros(2)                                   # P(T_eps), P(D_eps)
@@ -139,7 +169,7 @@ def _multinomial_typicality(spec: TypicalitySpec) -> TypicalityResult:
         counts = np.diff(pos.reshape(rows, k - 1), axis=1, prepend=-1,
                          append=m + k - 1) - 1
         w = np.exp(lg[m] - lg[counts].sum(axis=1) + counts @ logp)
-        dev = np.abs(counts @ np.c_[lams, rhos] / m - [info_mean, dist_mean])
+        dev = np.abs(counts @ values / m - [info_mean, dist_mean])
         p += w @ (dev < spec.epsilon)
     return TypicalityResult(p_info=float(p[0]), p_dist=float(p[1]),
                             method="multinomial", mean_dist=dist_mean)
@@ -163,18 +193,18 @@ def _enumeration_typicality(spec: TypicalitySpec) -> TypicalityResult:
                             method="enumeration", mean_dist=d_norm)
 
 
-def _forward_output_logprob(source: SourceModel, W: np.ndarray,
-                            y: np.ndarray) -> np.ndarray:
-    """log2 nu(y^n) for a per-letter chain over a Markov source, by the
-    forward recursion."""
+def _forward_output_logprob(initial: np.ndarray, transition: np.ndarray,
+                            W: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log2 nu(y^n) for a per-letter chain over a Markov source with the
+    given initial pmf and transition, by the forward recursion."""
     num, m = y.shape
     out = np.zeros(num)
-    alpha = source.initial.weights[None, :] * W[:, y[:, 0]].T
+    alpha = initial[None, :] * W[:, y[:, 0]].T
     scale = alpha.sum(axis=1)
     out += np.log2(scale)
     alpha /= scale[:, None]
     for i in range(1, m):
-        alpha = (alpha @ source.transition) * W[:, y[:, i]].T
+        alpha = (alpha @ transition) * W[:, y[:, i]].T
         scale = alpha.sum(axis=1)
         out += np.log2(scale)
         alpha /= scale[:, None]
@@ -184,13 +214,20 @@ def _forward_output_logprob(source: SourceModel, W: np.ndarray,
 def _monte_carlo_typicality(spec: TypicalitySpec,
                             seed: int) -> TypicalityResult:
     samples = MC_SAMPLES
-    if spec.source.kind != "markov":
+    source = spec.source
+    if source.kind == "explicit":
         raise ValueError("too many pairs to enumerate; Monte-Carlo "
-                         "typicality requires a Markov source")
+                         "typicality requires an iid or Markov source")
+    # an iid source is the Markov chain whose every row is its letter pmf
+    if source.kind == "iid":
+        initial = source.letter.weights
+        transition = np.tile(initial, (source.alphabet, 1))
+    else:
+        initial, transition = source.initial.weights, source.transition
     rng = np.random.default_rng(seed)
     m = spec.horizon + 1
     W = spec.chain.letter_kernel
-    x = spec.source.sample(samples, rng)
+    x = source.sample(samples, rng)
     y = spec.chain.sample(x, rng)
     # densities and costs a row block at a time: their gathers stay small
     lam = np.empty(samples)
@@ -198,7 +235,7 @@ def _monte_carlo_typicality(spec: TypicalitySpec,
     for blk in row_blocks(samples, m):
         xb, yb = x[blk], y[blk]
         lam[blk] = (np.log2(W[xb, yb]).sum(axis=1)
-                    - _forward_output_logprob(spec.source, W, yb)) / m
+                    - _forward_output_logprob(initial, transition, W, yb)) / m
         d[blk] = spec.dist.cost(xb, yb) / m
     # references are the sample means; exact values are unavailable here
     in_t = np.abs(lam - lam.mean()) < spec.epsilon
@@ -214,16 +251,22 @@ def typicality_probability(spec: TypicalitySpec,
                            seed: int = 0) -> TypicalityResult:
     """P(T_eps) and P(D_eps) for the joint generated by the spec's chain.
 
-    A per-letter problem over an iid source takes the multinomial recursion.
-    Otherwise the (x^n, y^n) pairs are enumerated when at most EXACT_PAIR_CAP
-    or when the spec holds a table over them (a full-history last stage, or
-    table costs).  Above the cap a per-letter chain takes Monte Carlo with
-    MC_SAMPLES pairs, and a compact (Markov-state) chain raises ValueError.
+    A per-letter problem over an iid source takes the multinomial sum over
+    the compositions of its (lambda, rho) classes when there are at most
+    EXACT_PAIR_CAP of them; at n = 99 a symmetric channel on a uniform
+    source with Hamming costs has 2 classes and 101 compositions.  Otherwise the (x^n, y^n) pairs are enumerated when
+    at most EXACT_PAIR_CAP or when the spec holds a table over them (a
+    full-history last stage, or table costs).  Above the cap a per-letter
+    chain takes Monte Carlo with MC_SAMPLES pairs (an iid source read as the
+    Markov chain whose every row is its letter pmf), and a compact
+    (Markov-state) chain raises ValueError.
     """
     chain, n = spec.chain, spec.horizon
     per_letter = chain.is_memoryless and spec.dist.is_single_letter
     if per_letter and spec.source.kind == "iid":
-        return _multinomial_typicality(spec)
+        classes, centre = _letter_classes(spec)
+        if _compositions(n + 1, len(classes)) <= EXACT_PAIR_CAP:
+            return _multinomial_typicality(spec, classes, centre)
     pairs = (spec.source.alphabet * chain.ny) ** (n + 1)
     if (pairs <= EXACT_PAIR_CAP or not spec.dist.is_single_letter
             or chain._full_history(n)):

@@ -116,20 +116,84 @@ class TestTypicality:
             assert res.p_info == pytest.approx(val, abs=1e-6)
             assert res.p_dist == pytest.approx(val, abs=1e-6)
 
-    def test_enumeration_agrees_with_multinomial(self):
+    @pytest.mark.parametrize("mu, W, epsilon, classes", [
+        # the uniform source through W_QUARTER: 4 cells in 2 classes
+        ([0.5, 0.5], W_QUARTER, 0.05, 2),
+        # every cell has its own (lambda, rho)
+        ([0.3, 0.7], [[0.7, 0.3], [0.2, 0.8]], 0.1, 4),
+        # x = 0 and 1 mirror each other, and so do y = 0 and 1 in row 2:
+        # 7 cells with positive mass in 4 classes
+        ([1 / 3] * 3, [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]],
+         0.1, 4),
+    ])
+    def test_enumeration_agrees_with_multinomial(self, mu, W, epsilon,
+                                                 classes):
         # rebuilding the memoryless chain from explicit stage tables routes
-        # the same joint law through the enumeration backend
+        # the same joint law through the enumeration backend, which sees
+        # the letter cells, not the classes
         n = 3
-        spec = bsc_spec(n)
-        stages = [spec.chain.stage(i).copy() for i in range(n + 1)]
-        explicit = CausalKernelChain.from_stages(stages, 2, 2)
-        spec2 = TypicalitySpec(epsilon=0.05, horizon=n, source=spec.source,
-                               chain=explicit, dist=spec.dist)
+        W = np.array(W)
+        nx, ny = W.shape
+        src = SourceModel.iid(FinitePmf(mu), n)
+        chain = CausalKernelChain.memoryless(W, n)
+        spec = TypicalitySpec(epsilon=epsilon, horizon=n, source=src,
+                              chain=chain, dist=DistortionModel.hamming(nx, n))
+        assert len(coding._letter_classes(spec)[0]) == classes
+        stages = [chain.stage(i).copy() for i in range(n + 1)]
+        staged = TypicalitySpec(
+            epsilon=epsilon, horizon=n, source=src, dist=spec.dist,
+            chain=CausalKernelChain.from_stages(stages, nx, ny))
         a = typicality_probability(spec)
-        b = typicality_probability(spec2)
-        assert b.method == "enumeration"
-        assert b.p_info == pytest.approx(a.p_info, abs=1e-12)
-        assert b.p_dist == pytest.approx(a.p_dist, abs=1e-12)
+        b = typicality_probability(staged)
+        assert (a.method, b.method) == ("multinomial", "enumeration")
+        assert abs(a.p_info - b.p_info) <= 1e-12
+        assert abs(a.p_dist - b.p_dist) <= 1e-12
+        assert 0.0 < a.p_info < 1.0 and 0.0 < a.p_dist < 1.0
+
+    def test_ternary_symmetric_channel_is_exact_at_n99(self):
+        # 9 cells in 2 (lambda, rho) classes: 101 compositions, where the
+        # cell sum would need C(107, 8) ~ 3.5e11
+        n, eps = 99, 0.047
+        W = np.full((3, 3), 0.1) + 0.7 * np.eye(3)
+        spec = TypicalitySpec(
+            epsilon=eps, horizon=n,
+            source=SourceModel.iid(FinitePmf.uniform(3), n),
+            chain=CausalKernelChain.memoryless(W, n),
+            dist=DistortionModel.hamming(3, n))
+        res = typicality_probability(spec)
+        assert res.method == "multinomial"
+        # k of the m letters disagree, k ~ Binomial(m, 0.2); the density
+        # per letter is log2(2.4) on a match and log2(0.3) off it
+        m = n + 1
+        info = 0.8 * math.log2(2.4) + 0.2 * math.log2(0.3)
+        p_info = p_dist = 0.0
+        for k in range(m + 1):
+            w = math.comb(m, k) * 0.2**k * 0.8 ** (m - k)
+            lam = ((m - k) * math.log2(2.4) + k * math.log2(0.3)) / m
+            p_info += w * (abs(lam - info) < eps)
+            p_dist += w * (abs(k / m - 0.2) < eps)
+        assert abs(res.p_info - p_info) <= 1e-12
+        assert abs(res.p_dist - p_dist) <= 1e-12
+
+    def test_iid_above_the_composition_cap_takes_monte_carlo(self,
+                                                             monkeypatch):
+        # 9 distinct cells: C(5 + 8, 8) = 1287 compositions at n = 4
+        n = 4
+        W = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        spec = TypicalitySpec(
+            epsilon=0.1, horizon=n,
+            source=SourceModel.iid(FinitePmf([0.2, 0.3, 0.5]), n),
+            chain=CausalKernelChain.memoryless(W, n),
+            dist=DistortionModel.hamming(3, n))
+        exact = typicality_probability(spec)
+        assert exact.method == "multinomial"
+        monkeypatch.setattr(coding, "EXACT_PAIR_CAP", 1000)
+        monkeypatch.setattr(coding, "MC_SAMPLES", 20_000)
+        res = typicality_probability(spec, seed=0)
+        assert res.method == "monte_carlo"
+        assert res.se_info > 0 and res.se_dist > 0
+        assert abs(res.p_info - exact.p_info) <= 5 * res.se_info
+        assert abs(res.p_dist - exact.p_dist) <= 5 * res.se_dist
 
     def test_markov_source_small_uses_enumeration(self):
         T = np.array([[0.8, 0.2], [0.2, 0.8]])

@@ -25,14 +25,17 @@ from crdf import (
     SolverOptions,
 )
 from crdf.information import LOG2E, directed_information_of_joint
-from crdf.probability import JointMeasure
+from crdf.probability import JointMeasure, _chain_rule_conditionals
 from crdf.sampling import random_chain, random_markov_source, random_pmf
 from crdf.solver import (
+    PAIRWISE_MIN,
+    SLICE_MIN,
     _Workspace,
     _ba_jacobian,
     _natural_step,
     _newton_step,
     _normalized,
+    _reduce_last,
 )
 
 UNIFORM2 = FinitePmf.uniform(2)
@@ -546,6 +549,63 @@ class TestUnderflowedRows:
         e = math.exp(-1.0)
         assert q[1] == pytest.approx([1 / (1 + e), e / (1 + e)], abs=1e-15)
         assert log_z[1] == pytest.approx(-800.0 + math.log1p(e), abs=1e-12)
+
+
+def _reduction_tilt(ws, nu_conds):
+    """The backward recursion of ``_Workspace.tilt`` with its minima and
+    row sums taken as numpy reductions over the last axis."""
+    exp_cost, cost_shift = ws.tilt_tables
+    stages, G, shift = [None] * (ws.n + 1), None, 0.0
+    for i in range(ws.n, -1, -1):
+        w = exp_cost[i] * nu_conds[i][:, None, :]
+        if G is not None:
+            shift = G.min(axis=2)
+            w = w * np.exp(shift[:, :, None] - G)
+        Z = w.sum(axis=2)
+        stages[i] = w / Z[..., None]
+        V = shift - np.log(Z) - cost_shift[i]
+        if i > 0:
+            V = V.reshape(ws.ny ** (i - 1), ws.ny, -1, ws.nx)
+            G = (V * ws.mu_next[i - 1]).sum(axis=3).transpose(0, 2, 1)
+    return stages, V
+
+
+class TestTiltAcrossSlices:
+    """On large tables the tilt takes its minima and row sums over y_i
+    elementwise across the ny slices; the stage kernels are those of the
+    last-axis reductions, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["explicit", "markov"])
+    @pytest.mark.parametrize("ny, n", [(2, 6), (3, 4)])
+    def test_matches_the_reduction_form(self, kind, ny, n):
+        rng = np.random.default_rng(700 + 10 * n + ny)
+        nx = 2
+        src = _source(kind, rng, nx, n)
+        dist = DistortionModel.single_letter(rng.random((nx, ny)), n)
+        ws = _Workspace(src, dist, -3.0)
+        assert ws.markov == (kind == "markov")
+        conds = _chain_rule_conditionals(
+            random_pmf(rng, ny ** (n + 1)).weights, ny, n)
+        stages, V = ws.tilt(conds)
+        assert stages[n].size >= SLICE_MIN          # the slice path is taken
+        ref_stages, ref_V = _reduction_tilt(ws, conds)
+        assert all(np.array_equal(a, b) for a, b in zip(stages, ref_stages))
+        assert np.array_equal(V, ref_V)
+        _, cost_shift = ws.tilt_tables
+        assert all(np.array_equal(c, -3.0 * rho.min(axis=2))
+                   for c, rho in zip(cost_shift, ws.cost))
+
+    @pytest.mark.parametrize("length", range(1, PAIRWISE_MIN + 2))
+    @pytest.mark.parametrize("rows", [3, SLICE_MIN])
+    def test_equals_numpys_reduction(self, length, rows):
+        # classical_ba normalizes (Nx, Ny) rows through the same sum
+        rng = np.random.default_rng(length)
+        a = rng.random((rows, length)) * 10.0 ** rng.integers(
+            -8, 8, size=(rows, length))
+        for w in (a, a.T.copy().T, a[::2], a.reshape(1, rows, length)):
+            assert np.array_equal(_reduce_last(np.add, w), w.sum(axis=-1))
+            assert np.array_equal(_reduce_last(np.minimum, w),
+                                  w.min(axis=-1))
 
 
 class TestSafeguardedStep:
