@@ -9,9 +9,17 @@ multistart derivative-free coordinate descent (n <= 2), entirely independent
 of the fixed-point solver.  Comparisons are made on the Lagrangian value, not
 the kernel, because minimizers need not be unique (the constant sD term of
 the dual cancels between the two sides and is dropped).
+
+The descent moves mass between two letters of one stage-kernel row at a
+time.  Such a shift changes the (x^n, y^n) conditional matrix only on one
+block and the output law only on that block's columns, so each candidate is
+scored by the change of that block's terms of L (``_stage_tables``), not by
+a full evaluation; every start's reported value is a full evaluation of its
+final chain.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +36,8 @@ from .solver import RateDistortionPoint, check_s
 DESCENT_STEP0 = 0.25
 DESCENT_MIN_STEP = 1e-6
 DESCENT_MAX_SWEEPS = 50
+# floor under a probability whose log is taken; its terms are 0 there
+TINY = 1e-300
 
 
 class InstanceTooLarge(ValueError):
@@ -140,22 +150,170 @@ class _BatchEvaluator:
         self.n, self.nx, self.ny, self.s = n, nx, ny, s
         self.mu = source.joint_pmf()
         self.C = dist.total_cost_matrix()
+        self.sC = s * LOG2E * self.C    # each cell's cost weight in L*(n+1)
         self.evaluations = 0
 
     def lagrangian(self, stages_b) -> np.ndarray:
-        """L of every batch entry of a list of batched stage kernels."""
-        return self.value(ix.stage_product(stages_b, self.nx, self.ny, self.n))
+        """L of every batch entry of a list of batched stage kernels, each
+        counted as one evaluation."""
+        K = ix.stage_product(stages_b, self.nx, self.ny, self.n)
+        self.evaluations += K.shape[0]
+        return self.value(K)
 
     def value(self, K: np.ndarray) -> np.ndarray:
-        """L = MI/(n+1) - s*log2(e)*D for each (nx^.., ny^..) matrix in K."""
-        self.evaluations += K.shape[0]
+        """L = MI/(n+1) - s*log2(e)*D for each (nx^.., ny^..) matrix in K.
+
+        The sums run on a C-contiguous copy, so that an entry's value does
+        not depend on its batch-mates: ``stage_product`` of a batch puts the
+        batch axis innermost in memory.
+        """
+        K = np.ascontiguousarray(K)
         J = self.mu[None, :, None] * K
         py = J.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = J * np.log2(K / np.maximum(py, 1e-300)[:, None, :])
+            terms = J * np.log2(K / np.maximum(py, TINY)[:, None, :])
         mi = np.where(J > 0, terms, 0.0).sum(axis=(1, 2))
         d = (J * self.C[None]).sum(axis=(1, 2)) / (self.n + 1)
         return mi / (self.n + 1) - self.s * LOG2E * d
+
+
+def _pairs(ny: int) -> list:
+    return [(a, b) for a in range(ny) for b in range(ny) if a != b]
+
+
+def _sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over one axis of a C-contiguous array whose last axis is the
+    batch, term by term in order for every entry.  numpy does so when the
+    summed axis is not innermost, but sums a lone vector (a batch of one)
+    pairwise, which rounds differently from 8 terms on; such a sum is taken
+    here."""
+    if a.shape[-1] > 1 or a.shape[axis] < 8:
+        return np.add.reduce(a, axis=axis)
+    return functools.reduce(np.add, np.moveaxis(a, axis, 0))
+
+
+def _stage_tables(ev: _BatchEvaluator, stages_b, i: int) -> tuple:
+    """Block tables of every row of stage i, the other stages held fixed.
+
+    L*(n+1) = sum over cells of mu*[K log2 K - s*log2(e)*C*K]
+              - sum over y of P_Y log2 P_Y,
+
+    where a cell counts iff mu*K > 0.  Row (hy, hx) of stage i is one
+    kernel q(.|y^{i-1}, x^i).  It sets K = P*q(y_i) on one block, the R =
+    nx**(n-i) trajectories x^n with prefix hx times the ny*S trajectories
+    y^n with prefix hy (S = ny**(n-i)), where P is the product of the other
+    stages' factors; and it moves P_Y on those columns only.  So the terms
+    of L*(n+1) that the row can change are a function of z = (q, P_Y on the
+    block's columns) alone:
+
+        f(z) = sum_l q_l*(A_l + M_l*log2 q_l) - sum_cols P_Y*log2 P_Y,
+
+    with M_l and A_l the sums of mu*P and of mu*P*(log2 P - s*log2(e)*C)
+    over the block's cells with y_i = l.  Moving mass delta from q_a to q_b
+    moves delta*W from P_Y on the block's y_i = a columns to its y_i = b
+    columns, W being each column's sum of mu*P over the block.  Rows with
+    different hy share neither cells nor columns.
+
+    The batch axis is last throughout (see ``_sum``).  Returns (coef_a,
+    coef_m, w, py): f = sum over axis 1 of z*(coef_a + coef_m*log2 z),
+    with z of shape (nhy, m, B), m = ny + ny*S, and coef_a, coef_m and w of
+    shape (nhx, nhy, m, B), w being 1 on q and W on the columns; and P_Y as
+    (nhy, ny*S, B).
+    """
+    n, nx, ny = ev.n, ev.nx, ev.ny
+    nhy, nhx, S = ny**i, nx ** (i + 1), ny ** (n - i)
+    F = [np.ascontiguousarray(f.transpose(1, 2, 0))
+         for f in ix.stage_factors(stages_b, nx, ny, n)]
+    others = F[:i] + F[i + 1:]
+    P = functools.reduce(np.multiply, others) if others else np.ones_like(F[i])
+    B = P.shape[-1]
+    MP = ev.mu[:, None, None] * P
+    py = _sum(MP * F[i], 0).reshape(nhy, ny * S, B)
+    # mu*P = 0 where log2 P is clamped, so those cells add 0
+    T = np.log2(np.maximum(P, TINY))
+    T -= ev.sC[:, :, None]
+    T *= MP
+    shape = (nhx, -1, nhy, ny, S, B)   # (hx, x suffix, hy, y_i, y suffix)
+    W = _sum(MP.reshape(shape), 1)
+    coef_a = np.zeros((nhx, nhy, ny + ny * S, B))
+    coef_a[:, :, :ny] = _sum(_sum(T.reshape(shape), 4), 1)
+    coef_m = np.full_like(coef_a, -1.0)
+    coef_m[:, :, :ny] = _sum(W, 3)
+    w = np.ones_like(coef_a)
+    w[:, :, ny:] = W.reshape(nhx, nhy, ny * S, B)
+    return coef_a, coef_m, w, py
+
+
+@functools.lru_cache(maxsize=32)
+def _shift_units(ny: int, S: int) -> np.ndarray:
+    """Sign of the change of each entry of z per unit of mass moved from
+    letter a to letter b, for each pair (a, b) of ``_pairs``, shaped to
+    broadcast against (pairs, nhy, m, B)."""
+    letters = np.concatenate((np.arange(ny), np.repeat(np.arange(ny), S)))
+    out = np.array([(letters == b) - (letters == a) * 1.0
+                    for a, b in _pairs(ny)])[:, None, :, None]
+    out.setflags(write=False)
+    return out
+
+
+def _block_score(z: np.ndarray, coef_a: np.ndarray,
+                 coef_m: np.ndarray) -> np.ndarray:
+    """f(z) of ``_stage_tables`` for each row.  A column that a shift
+    empties can come out at -1 ulp; abs keeps its term at the ulp scale."""
+    lg = np.log2(np.maximum(np.abs(z), TINY))
+    return _sum(z * (coef_a + coef_m * lg), 1)
+
+
+def _accept_bar(val: np.ndarray) -> np.ndarray:
+    """The value a candidate must get below to replace L = val."""
+    return val - 1e-12 * (1.0 + np.abs(val))
+
+
+def _sweep_stage(ev: _BatchEvaluator, stages_b, i: int, step: np.ndarray,
+                 best: np.ndarray, improved: np.ndarray) -> np.ndarray:
+    """One sweep of the descent over the rows of stage i; returns L of each
+    entry after it.  Updates ``stages_b[i]`` and ``improved`` in place.
+
+    A shift is scored on the block of K that its row sets (see
+    ``_stage_tables``): the candidate's L is the current L plus the change
+    of f over n+1, and it is accepted iff below ``_accept_bar`` of the
+    current L.  The rows of one hx and every hy are scored together, since
+    they share no cell or column; each counts as one evaluation per entry,
+    as when it was scored alone.
+    """
+    n1, ny, pairs = ev.n + 1, ev.ny, _pairs(ev.ny)
+    coef_a, coef_m, w, py = _stage_tables(ev, stages_b, i)
+    units = _shift_units(ny, ny ** (ev.n - i))
+    rows = stages_b[i]
+    for hx in range(rows.shape[2]):
+        z = np.concatenate((rows[:, :, hx].transpose(1, 2, 0), py), axis=1)
+        ca, cm, shifts = coef_a[hx], coef_m[hx], w[hx] * units
+        f = _block_score(z, ca, cm)
+        val = best[None].repeat(len(f), axis=0)
+        bar = _accept_bar(val)
+        for p, (a, b) in enumerate(pairs):
+            delta = np.minimum(step, z[:, a])
+            scored = np.count_nonzero(np.logical_or.reduce(delta > 0, axis=1))
+            if not scored:
+                continue
+            ev.evaluations += len(step) * int(scored)
+            # an entry with nothing to move gets z2 = z, val2 = val
+            z2 = z + delta[:, None] * shifts[p]
+            f2 = _block_score(z2, ca, cm)
+            # rounded to L's own ulp, as a full evaluation is, so a gain
+            # within an ulp of the bar is judged as one was
+            val2 = val + (f2 - f) / n1
+            accept = val2 < bar
+            if accept.any():
+                z = np.where(accept[:, None], z2, z)
+                f = np.where(accept, f2, f)
+                val = np.where(accept, val2, val)
+                bar = _accept_bar(val)
+                improved |= np.logical_or.reduce(accept, axis=0)
+        rows[:, :, hx] = z[:, :ny].transpose(2, 0, 1)
+        py = z[:, ny:]
+        best = best + (val - best).sum(axis=0)
+    return best
 
 
 def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
@@ -163,71 +321,38 @@ def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
 
     Each batch entry follows the serial schedule with its own step and
     sweep counter: sweep all (stage, history) rows trying pairwise mass
-    shifts of its current step, accept improvements immediately, and halve
-    the step once a sweep stalls or after DESCENT_MAX_SWEEPS sweeps at one
-    step, because near-deterministic optima otherwise cycle through
-    microscopic improvements for millions of evaluations.  An entry leaves
-    the batch once its step is below DESCENT_MIN_STEP, so no start is
-    evaluated after it has converged.
+    shifts of its current step (``_sweep_stage``), accept improvements
+    immediately, and halve the step once a sweep stalls or after
+    DESCENT_MAX_SWEEPS sweeps at one step, because near-deterministic optima
+    otherwise cycle through microscopic improvements for millions of
+    evaluations.  An entry leaves the batch once its step is below
+    DESCENT_MIN_STEP, so no start is evaluated after it has converged.  The
+    returned values are ``value`` of the returned stages.
     """
     B = stages_b[0].shape[0]
-    pairs = [(a, b) for a in range(ev.ny) for b in range(ev.ny) if a != b]
-    maps = ix.stage_maps(ev.nx, ev.ny, ev.n)
-    G = list(ix.stage_factors(stages_b, ev.nx, ev.ny, ev.n))
     best = ev.lagrangian(stages_b)
     step = np.full(B, DESCENT_STEP0)
     sweeps = np.zeros(B, dtype=np.int64)
     live = np.arange(B)                 # the start of each batch entry
-    out_best = np.empty(B)
     out_stages = [np.empty_like(sb) for sb in stages_b]
     while live.size:
         improved = np.zeros(live.size, dtype=bool)
         for i in range(ev.n + 1):
-            P = np.ones_like(G[0])
-            for j in range(ev.n + 1):
-                if j != i:
-                    P = P * G[j]
-            hy_map, hx_map, y_map = maps[i]
-            for hy in range(stages_b[i].shape[1]):
-                cols = np.nonzero(hy_map[0] == hy)[0]
-                ylets = y_map[0, cols]
-                for hx in range(stages_b[i].shape[2]):
-                    rows_x = np.nonzero(hx_map[:, 0] == hx)[0]
-                    for a, b in pairs:
-                        row = stages_b[i][:, hy, hx]
-                        delta = np.minimum(step, row[:, a])
-                        movable = delta > 0
-                        if not movable.any():
-                            continue
-                        row2 = row.copy()
-                        row2[:, a] -= delta
-                        row2[:, b] += delta
-                        Gi = G[i].copy()
-                        Gi[:, rows_x[:, None], cols[None, :]] = \
-                            row2[:, ylets][:, None, :]
-                        val = ev.value(P * Gi)
-                        accept = movable & (
-                            val < best - 1e-12 * (1.0 + np.abs(best)))
-                        if accept.any():
-                            stages_b[i][accept, hy, hx] = row2[accept]
-                            G[i][accept] = Gi[accept]
-                            best[accept] = val[accept]
-                            improved |= accept
+            best = _sweep_stage(ev, stages_b, i, step, best, improved)
         sweeps += 1
         halve = ~improved | (sweeps >= DESCENT_MAX_SWEEPS)
         step[halve] *= 0.5
         sweeps[halve] = 0
         done = step < DESCENT_MIN_STEP
         if done.any():
-            out_best[live[done]] = best[done]
             for out, sb in zip(out_stages, stages_b):
                 out[live[done]] = sb[done]
             keep = ~done
             live, best, step, sweeps = (live[keep], best[keep], step[keep],
                                         sweeps[keep])
             stages_b = [sb[keep] for sb in stages_b]
-            G = [g[keep] for g in G]
-    return out_best, out_stages
+    K = ix.stage_product(out_stages, ev.nx, ev.ny, ev.n)
+    return ev.value(K), out_stages
 
 
 def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,

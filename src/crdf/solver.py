@@ -155,7 +155,14 @@ def check_s(s) -> float:
 @dataclass(frozen=True)
 class RateDistortionPoint:
     """One Lagrangian solution: multiplier, achieved (D, R) and the output
-    law; a causal solve also carries its chain."""
+    law; a causal solve also carries its chain.
+
+    ``gap`` certifies the kernel tilted at the last candidate output law nu
+    that the loop evaluated: by Blahut's bound at nu, its Lagrangian is
+    within ``gap`` bits per symbol of the optimum.  ``output`` is that
+    kernel's own output law, mu*q, one plain step past nu, so Blahut's
+    bound taken at ``output`` can exceed ``tol`` although ``gap`` does not.
+    """
 
     s: float
     distortion: float

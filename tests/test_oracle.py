@@ -10,7 +10,16 @@ from crdf import (
     compare,
     solve_fixed_s,
 )
-from crdf.oracle import InstanceTooLarge, _BatchEvaluator, _batched_descent
+from crdf import indexing as ix
+from crdf.oracle import (
+    InstanceTooLarge,
+    _BatchEvaluator,
+    _batched_descent,
+    _block_score,
+    _pairs,
+    _shift_units,
+    _stage_tables,
+)
 
 UNIFORM2 = FinitePmf.uniform(2)
 
@@ -132,6 +141,30 @@ class TestMultistartOracle:
             alone += ev1.evaluations
         assert alone <= ev.evaluations <= 1.01 * alone
 
+    def test_each_start_runs_its_own_schedule_on_long_blocks(self):
+        # stage 0 of a ternary n = 1 instance scores 12 terms per row, where
+        # numpy would sum a batch of one pairwise and a batch in order
+        src = SourceModel.iid(FinitePmf(np.array([0.5, 0.3, 0.2])), 1)
+        dist = DistortionModel.hamming(3, 1)
+        starts = _random_stages(np.random.default_rng(5), 3, 3, 1, 3)
+        vals, stages = _batched_descent(_BatchEvaluator(src, dist, -1.5),
+                                        [st.copy() for st in starts])
+        for k in range(3):
+            v1, s1 = _batched_descent(_BatchEvaluator(src, dist, -1.5),
+                                      [st[k:k + 1].copy() for st in starts])
+            assert v1[0] == vals[k]
+            for a, b in zip(s1, stages):
+                assert np.array_equal(a[0], b[k])
+
+    def test_evaluation_count_pinned(self):
+        # the candidates the search scores on one fixed instance, which is
+        # what the BENCH row oracle.evaluations counts
+        T = np.array([[0.8, 0.2], [0.2, 0.8]])
+        src = SourceModel.markov(UNIFORM2, T, 2)
+        r = brute_force_lagrangian(src, DistortionModel.hamming(2, 2), -1.0,
+                                   method="multistart", budget=5, seed=0)
+        assert r.evaluations == 65693
+
     def test_horizon_cap(self):
         src = SourceModel.iid(UNIFORM2, 3)
         with pytest.raises(InstanceTooLarge):
@@ -159,6 +192,98 @@ class TestMultistartOracle:
         with pytest.raises(ValueError, match="finite and <= 0"):
             brute_force_lagrangian(src, DistortionModel.hamming(2, 0), s,
                                    method=method, budget=2)
+
+
+def _random_stages(rng, nx, ny, n, batch):
+    return [0.8 * rng.dirichlet(np.ones(ny), size=(batch, ny**i, nx ** (i + 1)))
+            + 0.2 / ny for i in range(n + 1)]
+
+
+def _random_instance(rng, max_n=2, max_ny=3):
+    nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, max_ny + 1))
+    n = int(rng.integers(0, max_n + 1))
+    src = SourceModel.markov(FinitePmf(rng.dirichlet(np.ones(nx))),
+                             rng.dirichlet(np.ones(nx), size=nx), n)
+    dist = DistortionModel.single_letter(rng.random((nx, ny)), n)
+    return _BatchEvaluator(src, dist, -float(rng.uniform(0.1, 4.0)))
+
+
+class TestBlockScoring:
+    def test_value_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            ev = _random_instance(rng)
+            batch = int(rng.integers(2, 8))
+            stages = _random_stages(rng, ev.nx, ev.ny, ev.n, batch)
+            vals = ev.value(ix.stage_product(stages, ev.nx, ev.ny, ev.n))
+            for k in range(batch):
+                one = [st[k:k + 1] for st in stages]
+                K = ix.stage_product(one, ev.nx, ev.ny, ev.n)
+                assert ev.value(K)[0] == vals[k]
+
+    def test_block_tables_do_not_depend_on_the_batch(self):
+        # numpy sums a lone vector pairwise and a batch's outer axis in
+        # order; from 8 terms on the two round differently (ny = 4 gives
+        # rows of exactly 8 at the last stage)
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            ev = _random_instance(rng, max_ny=4)
+            stages = _random_stages(rng, ev.nx, ev.ny, ev.n, 3)
+            i = int(rng.integers(0, ev.n + 1))
+            tables = _stage_tables(ev, stages, i)
+            for k in range(3):
+                alone = _stage_tables(ev, [st[k:k + 1] for st in stages], i)
+                for t, t1 in zip(tables, alone):
+                    assert np.array_equal(t[..., k], t1[..., 0])
+                for hx in range(ev.nx ** (i + 1)):
+                    ca, cm = tables[0][hx], tables[1][hx]
+                    z = np.concatenate(
+                        (stages[i][:, :, hx].transpose(1, 2, 0), tables[3]),
+                        axis=1)
+                    score = _block_score(z[..., k:k + 1], ca[..., k:k + 1],
+                                         cm[..., k:k + 1])
+                    assert np.array_equal(score[:, 0],
+                                          _block_score(z, ca, cm)[:, k])
+
+    def test_block_change_matches_the_full_lagrangian(self):
+        # shift one row, and then every row of one hx at once: the rows of
+        # different hy share no cell or column, so their changes add up
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            ev = _random_instance(rng)
+            stages = _random_stages(rng, ev.nx, ev.ny, ev.n, 3)
+            i = int(rng.integers(0, ev.n + 1))
+            nhy, nhx = ev.ny**i, ev.nx ** (i + 1)
+            hx = int(rng.integers(0, nhx))
+            p = int(rng.integers(0, len(_pairs(ev.ny))))
+            a = _pairs(ev.ny)[p][0]
+            coef_a, coef_m, w, py = _stage_tables(ev, stages, i)
+            z = np.concatenate((stages[i][:, :, hx].transpose(1, 2, 0), py),
+                               axis=1)
+            delta = rng.uniform(0.0, 1.0, size=z[:, a].shape) * z[:, a]
+            shift = w[hx] * _shift_units(ev.ny, ev.ny ** (ev.n - i))[p]
+            z2 = z + delta[:, None] * shift
+            gain = (_block_score(z2, coef_a[hx], coef_m[hx])
+                    - _block_score(z, coef_a[hx], coef_m[hx])) / (ev.n + 1)
+            before = ev.value(ix.stage_product(stages, ev.nx, ev.ny, ev.n))
+            hy = int(rng.integers(0, nhy))
+            for rows, expected in ((slice(hy, hy + 1), gain[hy]),
+                                   (slice(None), gain.sum(axis=0))):
+                after = [st.copy() for st in stages]
+                after[i][:, rows, hx] = z2[rows, :ev.ny].transpose(2, 0, 1)
+                change = ev.value(ix.stage_product(after, ev.nx, ev.ny,
+                                                   ev.n)) - before
+                np.testing.assert_allclose(change, expected, rtol=0,
+                                           atol=1e-12)
+
+    def test_descent_returns_the_value_of_its_stages(self):
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            ev = _random_instance(rng, max_n=1)
+            vals, stages = _batched_descent(
+                ev, _random_stages(rng, ev.nx, ev.ny, ev.n, 2))
+            K = ix.stage_product(stages, ev.nx, ev.ny, ev.n)
+            assert np.array_equal(vals, ev.value(K))
 
 
 class TestCompare:
