@@ -438,7 +438,9 @@ def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
     """Conditionals nu_i(y_i | y^{i-1}) of a pmf nu over Y^{0..n}.
 
     Row y^{i-1} of the i-th table is uniform where the prefix carries at
-    most UNREACHABLE_MASS.
+    most UNREACHABLE_MASS.  A complex nu, which the solver's complex-step
+    Jacobian passes, is judged by its real part, and the tables keep its
+    dtype.
     """
     conditionals = []
     child = nu
@@ -446,8 +448,9 @@ def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
         child = child.reshape(ny**i, ny)
         parent = child.sum(axis=1)
         conditionals.insert(0, np.divide(
-            child, parent[:, None], out=np.full(child.shape, 1.0 / ny),
-            where=parent[:, None] > UNREACHABLE_MASS))
+            child, parent[:, None],
+            out=np.full(child.shape, 1.0 / ny, dtype=child.dtype),
+            where=parent.real[:, None] > UNREACHABLE_MASS))
         child = parent
     return conditionals
 

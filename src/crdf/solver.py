@@ -28,14 +28,32 @@ falls; otherwise the step is replaced by the plain one and beta returns to
 positive into 0 (``_alternate``).  A solve has converged when the kernel
 moves less than ``tol`` and its gap is at most ``tol``.
 
-Newton step (classical Blahut-Arimoto).  With Q the kernel tilted at nu and
-P_Y = mu Q, the Jacobian of the fixed-point map in log coordinates is
-dP_Y(y) / dlog nu(y') = delta_{yy'} P_Y(y) - sum_x mu(x) Q(x,y) Q(x,y'),
-J = diag(P_Y) - Q^T diag(mu) Q, which costs no extra evaluation.  After a
-plain step whose gap does not fall, the next candidate solves
-(J / P_Y - I) t = -log r on the masses on the support and takes the plain
-step on the decaying ones; it is accepted when the gap strictly falls and
-halved otherwise (``_newton_step``).  The causal solver passes no Jacobian.
+Newton step.  Once plain steps stall, both solvers try Newton candidates on
+the fixed point P_Y(nu) = nu in log nu: with J = dP_Y / dlog nu, each solves
+(J / P_Y - I) t = -log r on the masses of its support, is accepted when the
+gap strictly falls and is halved otherwise (``_newton_step``).
+  - Classical Blahut-Arimoto: with Q the kernel tilted at nu and P_Y = mu Q,
+    dP_Y(y) / dlog nu(y') = delta_{yy'} P_Y(y) - sum_x mu(x) Q(x,y) Q(x,y'),
+    J = diag(P_Y) - Q^T diag(mu) Q, which costs no extra evaluation.  An
+    episode starts after one plain step whose gap does not fall, and the
+    masses off the support take the plain step.
+  - Causal: J is taken by complex step (Squire & Trapp 1998) through the
+    stage code, column k being Im P_Y(nu with nu_k * e^{ih}) / h for
+    h = 1e-30, exact to rounding (``_complex_step_jacobian``).  It costs
+    one complex evaluation per mass, ny^(n+1) in all, so an episode starts
+    only after CAUSAL_PATIENCE = 12 plain steps in a row whose gap did not
+    fall: plain steps often stall for a few steps and then fall again, and
+    at a patience of 1 the ternary Markov sweep built 7 times the
+    Jacobians.  The stall it targets is a multiplier where an output letter
+    enters or leaves the support: at s = -0.4434 on that source at n = 1,
+    two masses settle at 6.6e-4 while two decay at r = 0.984 per step, and
+    the plain loop takes 4,139 steps.  A mass below LEAVING_MASS whose
+    log r is below -LEAVING_RATE leaves the support, and every mass off it
+    steps by BETA_MAX * log r, so the decaying masses empty while Newton
+    settles the rest.  J is built only while ny^(n+1) <= JACOBIAN_MAX = 64:
+    a dense J at N masses costs N evaluations, 0.44 s at N = 512 (binary,
+    n = 8; 2 vCPU) against 0.1 s for a whole four-point plain sweep there.
+    Above the bound the causal solve takes no Newton step.
 
 State layout.  For an iid or Markov source with single-letter costs, q_i
 depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
@@ -105,11 +123,19 @@ from .probability import (
 WARM_MIX = 1e-6
 # largest exponent of the natural-gradient step on the output law
 BETA_MAX = 256.0
-# Newton step of classical Blahut-Arimoto: smallest mass and largest |log r|
-# of its support, and smallest scale tried before the plain path resumes
+# Newton step on the output law: smallest mass and largest |log r| of its
+# support, and smallest scale tried before the plain path resumes
 NEWTON_FLOOR = 1e-200
 NEWTON_BAND = 1.0
 NEWTON_MIN_SCALE = 1.0 / 16.0
+# causal Newton step: stalled plain steps before an episode starts; a mass
+# below LEAVING_MASS whose log r is below -LEAVING_RATE leaves its support;
+# the complex step of its Jacobian, built only while ny^(n+1) <= JACOBIAN_MAX
+CAUSAL_PATIENCE = 12
+LEAVING_MASS = 1e-6
+LEAVING_RATE = 1e-3
+COMPLEX_STEP = 1e-30
+JACOBIAN_MAX = 64
 # _reduce_last: numpy adds a row of fewer entries one after another and
 # longer ones pairwise; below SLICE_MIN entries its reduction is cheaper than
 # one call per slice
@@ -235,7 +261,7 @@ def _normalized(w, log_w) -> tuple:
     bad = Z == 0
     with np.errstate(divide="ignore"):        # log of the zero masses of nu
         lw = log_w()[bad]
-    top = lw.max(axis=-1)
+    top = lw.real.max(axis=-1)
     e = np.exp(lw - top[:, None])
     z = e.sum(axis=-1)
     Z[bad] = 1.0
@@ -299,20 +325,27 @@ def _natural_step(nu, p, beta: float) -> tuple:
     return (p, 1.0) if cand is None else (cand, beta)
 
 
-def _newton_direction(nu, p, jac) -> Optional[tuple]:
+def _newton_direction(nu, p, jac, causal_support: bool) -> Optional[tuple]:
     """Newton step on log nu for the fixed point P_Y(nu) = nu, or None.
 
     ``jac`` is J = dP_Y / dlog nu at nu.  On the support, the masses of nu
     above NEWTON_FLOOR whose r = p / nu is within NEWTON_BAND of 1 in log,
     it solves (J / P_Y - I) t = -log r; the other masses, which decay
-    towards 0, keep the plain step's log r.  Returns (t, support), or None
-    when the support is empty or the system is singular.
+    towards 0, keep the plain step's log r.  With ``causal_support``, a mass
+    below LEAVING_MASS whose log r is below -LEAVING_RATE also leaves the
+    support, and every mass off it steps by BETA_MAX * log r, so that the
+    masses on their way to 0 get there while Newton settles the others.
+    Returns (t, support), or None when the support is empty or the system
+    is singular.
     """
     live = nu > 0
     log_r = np.zeros_like(nu)
     with np.errstate(divide="ignore"):            # log 0 where p has no mass
         log_r[live] = np.log(p[live]) - np.log(nu[live])
     on = live & (nu > NEWTON_FLOOR) & (np.abs(log_r) < NEWTON_BAND)
+    if causal_support:
+        on &= ~((nu < LEAVING_MASS) & (log_r < -LEAVING_RATE))
+        log_r[~on] *= BETA_MAX
     if not on.any():
         return None
     a = jac[np.ix_(on, on)] / p[on][:, None] - np.eye(int(on.sum()))
@@ -327,9 +360,9 @@ def _newton_direction(nu, p, jac) -> Optional[tuple]:
 
 
 def _newton_step(nu, p, direction, scale: float) -> tuple:
-    """Candidate nu * exp(scale * t) on the support and the plain step off
-    it, normalized, and its scale, halved by ``_guarded_step``; (None,
-    scale) once the scale is below NEWTON_MIN_SCALE."""
+    """Candidate nu * exp(scale * t) on the support and nu * exp(t) off it,
+    normalized, and its scale, halved by ``_guarded_step``; (None, scale)
+    once the scale is below NEWTON_MIN_SCALE."""
     t, on = direction
     live = nu > 0
     log_nu = np.log(nu[live])
@@ -338,8 +371,8 @@ def _newton_step(nu, p, direction, scale: float) -> tuple:
         NEWTON_MIN_SCALE)
 
 
-def _alternate(evaluate, nu, n: int, opts: SolverOptions,
-               jacobian=None) -> tuple:
+def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
+               patience: int = 1, causal_support: bool = False) -> tuple:
     """Alternating minimization over the output law, safeguarded.
 
     ``evaluate(nu)`` returns the kernel tilted at the output law nu, a list
@@ -352,12 +385,15 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions,
     beta = 1.  A plain step is always taken, so with beta = 1 throughout
     this is the plain Blahut-Arimoto iteration.
 
-    ``jacobian(q, p)``, if given, returns dP_Y / dlog nu at the last
-    accepted law from its kernel and output law.  Then a plain step whose
-    gap does not fall is followed by Newton candidates (``_newton_step``):
-    each is accepted when the gap strictly falls, and the next is formed at
-    the new law; a rejected one is retried at half its scale, and below
-    NEWTON_MIN_SCALE the plain path takes over again.
+    ``jacobian(nu, q, p)``, if given, returns dP_Y / dlog nu at the last
+    accepted law nu, with its kernel q and output law p.  Then, once
+    ``patience`` plain steps in a row have not lowered the gap, Newton
+    candidates follow (``_newton_step``, with ``causal_support`` passed to
+    ``_newton_direction``): each is accepted when the gap strictly falls,
+    and the next is formed at the new law; a rejected one is retried at
+    half its scale, and below NEWTON_MIN_SCALE the plain path takes over
+    again.  Any step whose gap falls, and the start of an episode, set the
+    count of stalled plain steps back to 0.
 
     The solve has converged when the kernel moves less than ``tol`` and the
     gap is at most ``tol``.  Returns (kernel, gap, iterations, converged),
@@ -365,7 +401,7 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions,
     """
     q, p = evaluate(nu)
     gap = _gap(nu, p, n)
-    beta, direction, scale = 1.0, None, 1.0
+    beta, direction, scale, stalled = 1.0, None, 1.0, 0
     iterations = 1
     for iterations in range(2, opts.max_iters + 1):
         cand = None
@@ -383,15 +419,18 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions,
             if falls:
                 nu, q, p, gap = cand, q_new, p_new, gap_new
                 direction, scale = _newton_direction(
-                    nu, p, jacobian(q, p)), 1.0
+                    nu, p, jacobian(nu, q, p), causal_support), 1.0
             else:
                 scale /= 2.0
             continue
         if falls or used == 1.0:
             nu, q, p, gap = cand, q_new, p_new, gap_new
         beta = min(2.0 * used, BETA_MAX) if falls else 1.0
-        if jacobian is not None and used == 1.0 and not falls:
-            direction, scale = _newton_direction(nu, p, jacobian(q, p)), 1.0
+        stalled = 0 if falls else stalled + (used == 1.0)
+        if jacobian is not None and stalled >= patience:
+            stalled = 0
+            direction, scale = _newton_direction(
+                nu, p, jacobian(nu, q, p), causal_support), 1.0
     return q, gap, iterations, False
 
 
@@ -591,10 +630,33 @@ class _Workspace:
         return py.reshape(-1), d, di
 
 
+def _complex_step_jacobian(evaluate, nu) -> np.ndarray:
+    """dP_Y / dlog nu at nu, by complex step (Squire & Trapp 1998), of the
+    map ``evaluate``: nu -> (kernel, P_Y), as ``_alternate`` takes it.
+
+    Column k is Im P_Y(nu with nu_k * e^{ih}) / h, h = COMPLEX_STEP, and
+    nu_k * e^{ih} = nu_k * (1 + ih) in floating point.  ``evaluate`` runs
+    on the complex law unchanged, so J is the derivative of the very map
+    the loop iterates, the UNREACHABLE_MASS rule of the causal solver's
+    chain-rule conditionals included.  With no difference of two values, it
+    is exact to rounding however small h is.  It costs one complex
+    evaluation per mass of nu, which is why ``solve_fixed_s`` builds it only
+    while there are at most JACOBIAN_MAX masses.
+    """
+    jac = np.empty((len(nu), len(nu)))
+    for k in range(len(nu)):
+        z = nu.astype(complex)
+        z[k] += 1j * COMPLEX_STEP * nu[k]
+        jac[:, k] = evaluate(z)[1].imag / COMPLEX_STEP
+    return jac
+
+
 def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
                   opts: SolverOptions = SolverOptions(),
                   warm_start=None) -> RateDistortionPoint:
-    """Solve the fixed-s Lagrangian problem by alternating minimization.
+    """Solve the fixed-s Lagrangian problem by alternating minimization,
+    with the causal Newton step while ny^(n+1) <= JACOBIAN_MAX (module
+    docstring).
 
     ``warm_start`` may carry the output law, a joint on Y^n, of a
     neighboring solve.  Non-convergence within ``max_iters`` returns
@@ -607,8 +669,11 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
         q, _ = ws.tilt(_chain_rule_conditionals(law, ny, n))
         return q, ws.output_law(q)
 
+    jacobian = ((lambda law, q, p: _complex_step_jacobian(evaluate, law))
+                if ny ** (n + 1) <= JACOBIAN_MAX else None)
     q, gap, iterations, converged = _alternate(
-        evaluate, ws.start(warm_start), n, opts)
+        evaluate, ws.start(warm_start), n, opts, jacobian, CAUSAL_PATIENCE,
+        causal_support=True)
     chain = CausalKernelChain.from_stages(q, nx, ny)
     nu, d_sum, info = ws.measures(q)
     output = OutputProcess(ny=ny, horizon=n, joint=nu)
@@ -700,7 +765,7 @@ def classical_ba(source: SourceModel, dist: DistortionModel, s: float,
         return [q], mu @ q
 
     (q,), gap, iterations, converged = _alternate(
-        evaluate, nu, n, opts, lambda q, p: _ba_jacobian(mu, q[0], p))
+        evaluate, nu, n, opts, lambda law, q, p: _ba_jacobian(mu, q[0], p))
     output = OutputProcess(ny=ny, horizon=n, joint=mu @ q)
     q_next, log_z = kernel(output.joint)
     residual = _max_step([q_next], [q])

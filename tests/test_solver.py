@@ -25,13 +25,23 @@ from crdf import (
     SolverOptions,
 )
 from crdf.information import LOG2E, directed_information_of_joint
-from crdf.probability import JointMeasure, _chain_rule_conditionals
-from crdf.sampling import random_chain, random_markov_source, random_pmf
+from crdf.probability import (
+    UNREACHABLE_MASS,
+    JointMeasure,
+    _chain_rule_conditionals,
+)
+from crdf.sampling import (
+    random_chain,
+    random_iid_source,
+    random_markov_source,
+    random_pmf,
+)
 from crdf.solver import (
     PAIRWISE_MIN,
     SLICE_MIN,
     _Workspace,
     _ba_jacobian,
+    _complex_step_jacobian,
     _natural_step,
     _newton_step,
     _normalized,
@@ -69,6 +79,15 @@ def random_table_markov():
     return (random_markov_source(rng, 2, 1),
             DistortionModel.from_tables([rng.random((2, 3)),
                                          rng.random((4, 9))], 1))
+
+
+def causal_evaluation(ws):
+    """The causal solver's map nu -> (kernel, P_Y), as ``_alternate`` takes
+    it."""
+    def evaluate(nu):
+        q, _ = ws.tilt(_chain_rule_conditionals(nu, ws.ny, ws.n))
+        return q, ws.output_law(q)
+    return evaluate
 
 
 def binary_table_iid():
@@ -625,8 +644,8 @@ class TestSafeguardedStep:
 
 
 class TestNewtonStep:
-    """Classical Blahut-Arimoto's Newton step on the fixed point
-    P_Y(nu) = nu, in log nu."""
+    """The Newton step of both solvers on the fixed point P_Y(nu) = nu, in
+    log nu."""
 
     @pytest.mark.parametrize("instance, s", [(mkv2_ham_n2, -3.1348),
                                              (random_table_markov, -1.7)])
@@ -661,6 +680,108 @@ class TestNewtonStep:
         assert p.converged and p.iterations <= 100
         assert p.gap <= 1e-12
         assert abs(p.rate - p.rate_formula) <= 1e-9
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 3), (2, 3)])
+    def test_complex_step_jacobian_is_classical_at_horizon_zero(self, nx,
+                                                                ny):
+        # at n = 0 the causal problem is the classical one
+        rng = np.random.default_rng(10 * nx + ny)
+        src = random_iid_source(rng, nx, 0)
+        dist = DistortionModel.single_letter(rng.random((nx, ny)), 0)
+        ws = _Workspace(src, dist, -1.3)
+        nu = random_pmf(rng, ny, floor=0.01).weights
+        (q,), _ = ws.tilt(_chain_rule_conditionals(nu, ny, 0))
+        J = _ba_jacobian(src.joint_pmf(), q[0], ws.output_law([q]))
+        causal = _complex_step_jacobian(causal_evaluation(ws), nu)
+        assert np.max(np.abs(causal - J)) <= 1e-15 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("instance, s", [(mkv2_ham_n2, -3.1348),
+                                             (random_table_markov, -1.7)])
+    def test_complex_step_jacobian_matches_central_differences(self,
+                                                               instance, s):
+        src, dist = instance()
+        ws = _Workspace(src, dist, s)
+        assert ws.markov == (instance is mkv2_ham_n2)   # both layouts
+        evaluate = causal_evaluation(ws)
+        nu = random_pmf(np.random.default_rng(0), ws.ny ** (ws.n + 1),
+                        floor=0.01).weights
+        J = _complex_step_jacobian(evaluate, nu)
+        h = 1e-6
+        fd = np.empty_like(J)
+        for k in range(len(nu)):
+            e = np.zeros_like(nu)
+            e[k] = h
+            fd[:, k] = (evaluate(np.exp(np.log(nu) + e))[1]
+                        - evaluate(np.exp(np.log(nu) - e))[1]) / (2 * h)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    def test_jacobian_is_finite_where_a_prefix_is_unreachable(self):
+        # nu[:2] is the prefix y^1 = (0, 0), whose stage-2 row is uniform
+        src, dist = mkv2_ham_n2()
+        ws = _Workspace(src, dist, -1.0)
+        nu = random_pmf(np.random.default_rng(1), 8, floor=0.01).weights.copy()
+        nu[:2] = 1e-17
+        nu /= nu.sum()
+        assert nu[:2].sum() <= UNREACHABLE_MASS
+        J = _complex_step_jacobian(causal_evaluation(ws), nu)
+        assert np.all(np.isfinite(J))
+        # P_Y sums to 1 and does not change when nu is scaled
+        assert np.max(np.abs(J.sum(axis=0))) <= 1e-15
+        assert np.max(np.abs(J.sum(axis=1))) <= 1e-15
+
+    @pytest.mark.parametrize("case", ["markov", "table", "underflow"])
+    def test_complex_input_keeps_the_real_values(self, case):
+        # the complex step runs the real stage code: imaginary parts stay 0
+        # and real parts within a few ulp (numpy's complex division
+        # multiplies by the reciprocal, and its complex exp and log are not
+        # its real ones)
+        if case == "underflow":
+            # TestUnderflowedRows's instance at the point mass on y = 000:
+            # the rows of x = 1 underflow and take the log-sum-exp branch
+            src = SourceModel.iid(FinitePmf([1.0, 0.0]), 2)
+            dist = DistortionModel.single_letter(100.0 * (1.0 - np.eye(2)), 2)
+            ws = _Workspace(src, dist, -20.0)
+            nu = np.eye(8)[0]
+        else:
+            src, dist = (mkv2_ham_n2 if case == "markov"
+                         else random_table_markov)()
+            ws = _Workspace(src, dist, -1.7)
+            nu = random_pmf(np.random.default_rng(2),
+                            ws.ny ** (ws.n + 1)).weights
+        real = _chain_rule_conditionals(nu, ws.ny, ws.n)
+        cplx = _chain_rule_conditionals(nu + 0j, ws.ny, ws.n)
+        exp_cost, _ = ws.tilt_tables
+        w = exp_cost[ws.n] * real[ws.n][:, None, :]
+        assert w.sum(axis=-1).all() == (case != "underflow")
+        (q, V), (qc, Vc) = ws.tilt(real), ws.tilt(cplx)
+        pairs = list(zip(real, cplx)) + list(zip(q, qc)) + [
+            (V, Vc), (ws.output_law(q), ws.output_law(qc))]
+        for a, b in pairs:
+            assert a.dtype == float and b.dtype == complex
+            assert not b.imag.any()
+            np.testing.assert_array_max_ulp(a, b.real, maxulp=8)
+
+    def test_certifies_the_slow_causal_point(self):
+        # two output masses must settle at 6.6e-4 while two others decay to
+        # 0 at r = 0.984 per plain step; the plain iteration needs 4,139
+        # steps
+        p = solve_fixed_s(*ternary_markov(), -0.4433918332243225)
+        assert p.converged and p.iterations <= 300
+        assert p.gap <= SolverOptions().tol
+        assert abs(p.rate - p.rate_formula) <= 1e-9
+
+    def test_no_jacobian_above_the_size_bound(self, monkeypatch):
+        # the slow point has 9 output masses; with the bound at 8 it takes
+        # plain steps only
+        from crdf import solver
+
+        def refuse(evaluate, nu):
+            raise AssertionError("Jacobian built above JACOBIAN_MAX")
+        monkeypatch.setattr(solver, "JACOBIAN_MAX", 8)
+        monkeypatch.setattr(solver, "_complex_step_jacobian", refuse)
+        p = solve_fixed_s(*ternary_markov(), -0.4433918332243225,
+                          SolverOptions(max_iters=300))
+        assert not p.converged and p.iterations == 300
 
     def test_scale_halves_until_no_mass_underflows(self):
         # the small mass is 1e-200 * exp(-500 * scale): 0 at scale 1,
