@@ -17,14 +17,19 @@ Otherwise, or when those compositions exceed EXACT_PAIR_CAP, they are exact
 by enumeration of at most EXACT_PAIR_CAP pairs or of a table the spec
 already holds, else Monte Carlo for a per-letter chain over an iid or
 Markov source, with reported standard errors; a compact stage chain is
-refused there.
+refused there.  Monte Carlo centres its windows on the exact per-letter
+(I, E[d]) of an iid source and on the sample means of a Markov one.
 
 The coding trials run as array passes.  Trial t reads the doubles of
 ``default_rng([seed, t]).random(k)``, which array passes of numpy's
 SeedSequence hash and PCG64 step compute for all trials at once; one pass of
 :meth:`SourceModel.from_uniforms` turns all of them into source blocks, and
-:meth:`DistortionModel.min_cost` encodes a block of trials against the whole
-codebook at a time, so the (trials, codewords) table never exists.
+:meth:`DistortionModel.min_cost` encodes them a block of about BLOCK_CELLS
+cells at a time, so the (trials, codewords) table never exists.  For
+single-letter costs that are nonnegative integers with (n+1) * max rho <
+2**53 a block's totals are one matrix product, exact in any summation
+order; non-integral single-letter costs and table costs take the
+stage-by-stage gather, whose rounding only that order reproduces.
 
 Membership conventions (single normalization, block length = n+1 symbols):
 
@@ -211,8 +216,13 @@ def _forward_output_logprob(initial: np.ndarray, transition: np.ndarray,
     return out
 
 
-def _monte_carlo_typicality(spec: TypicalitySpec,
-                            seed: int) -> TypicalityResult:
+def _monte_carlo_typicality(spec: TypicalitySpec, seed: int,
+                            centre: Optional[tuple]) -> TypicalityResult:
+    """P(T_eps) and P(D_eps) from MC_SAMPLES pairs of the spec's joint law.
+
+    The windows are centred on ``centre``, the exact per-letter (I, E[d]),
+    when it is known (an iid source), else on the sample means.
+    """
     samples = MC_SAMPLES
     source = spec.source
     if source.kind == "explicit":
@@ -237,12 +247,12 @@ def _monte_carlo_typicality(spec: TypicalitySpec,
         lam[blk] = (np.log2(W[xb, yb]).sum(axis=1)
                     - _forward_output_logprob(initial, transition, W, yb)) / m
         d[blk] = spec.dist.cost(xb, yb) / m
-    # references are the sample means; exact values are unavailable here
-    in_t = np.abs(lam - lam.mean()) < spec.epsilon
-    in_d = np.abs(d - d.mean()) < spec.epsilon
+    info_mean, dist_mean = (lam.mean(), d.mean()) if centre is None else centre
+    in_t = np.abs(lam - info_mean) < spec.epsilon
+    in_d = np.abs(d - dist_mean) < spec.epsilon
     return TypicalityResult(
         p_info=float(in_t.mean()), p_dist=float(in_d.mean()),
-        method="monte_carlo", mean_dist=float(d.mean()),
+        method="monte_carlo", mean_dist=float(dist_mean),
         se_info=float(in_t.std(ddof=1) / math.sqrt(samples)),
         se_dist=float(in_d.std(ddof=1) / math.sqrt(samples)))
 
@@ -254,15 +264,19 @@ def typicality_probability(spec: TypicalitySpec,
     A per-letter problem over an iid source takes the multinomial sum over
     the compositions of its (lambda, rho) classes when there are at most
     EXACT_PAIR_CAP of them; at n = 99 a symmetric channel on a uniform
-    source with Hamming costs has 2 classes and 101 compositions.  Otherwise the (x^n, y^n) pairs are enumerated when
-    at most EXACT_PAIR_CAP or when the spec holds a table over them (a
-    full-history last stage, or table costs).  Above the cap a per-letter
-    chain takes Monte Carlo with MC_SAMPLES pairs (an iid source read as the
-    Markov chain whose every row is its letter pmf), and a compact
-    (Markov-state) chain raises ValueError.
+    source with Hamming costs has 2 classes and 101 compositions.
+    Otherwise the (x^n, y^n) pairs are enumerated when at most
+    EXACT_PAIR_CAP or when the spec holds a table over them (a full-history
+    last stage, or table costs).  Above the cap a per-letter chain takes
+    Monte Carlo with MC_SAMPLES pairs (an iid source read as the Markov
+    chain whose every row is its letter pmf), whose windows are centred on
+    the exact per-letter (I, E[d]) for an iid source and on the sample
+    means for a Markov one; a compact (Markov-state) chain raises
+    ValueError.
     """
     chain, n = spec.chain, spec.horizon
     per_letter = chain.is_memoryless and spec.dist.is_single_letter
+    centre = None
     if per_letter and spec.source.kind == "iid":
         classes, centre = _letter_classes(spec)
         if _compositions(n + 1, len(classes)) <= EXACT_PAIR_CAP:
@@ -272,7 +286,7 @@ def typicality_probability(spec: TypicalitySpec,
             or chain._full_history(n)):
         return _enumeration_typicality(spec)
     if per_letter:
-        return _monte_carlo_typicality(spec, seed)
+        return _monte_carlo_typicality(spec, seed, centre)
     raise ValueError(f"typicality of a compact stage chain: {pairs} pairs "
                      f"are above EXACT_PAIR_CAP = {EXACT_PAIR_CAP}")
 
@@ -459,8 +473,11 @@ def simulate(source: SourceModel, dist: DistortionModel,
     computed for all trials in array passes by :func:`_trial_uniforms`, and
     one pass of :meth:`SourceModel.from_uniforms` maps every trial's
     uniforms to its block, as that call would.  The encoder is
-    :meth:`DistortionModel.min_cost`, which takes a block of trials against
-    the whole codebook at a time.  The typicality fields are the
+    :meth:`DistortionModel.min_cost`: for single-letter costs that are
+    nonnegative integers with (n+1) * max rho < 2**53 it takes each block's
+    totals as one matrix product, exact in any order; non-integral
+    single-letter costs and table costs take the stage-by-stage gather, a
+    block of trials against the whole codebook.  The typicality fields are the
     probabilities of the joint law from :func:`typicality_probability`, not
     fractions of the trials, and ``target_d`` defaults to that law's mean
     distortion.  They come first, so a refused spec costs no encoding.

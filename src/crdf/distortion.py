@@ -5,10 +5,16 @@ every stage, or an explicit family of per-stage tables rho_i(x^i, y^i), whose
 shapes it checks against its alphabets (nx, ny).  Every cost is read through
 one evaluator on letter arrays, :meth:`DistortionModel.cost`, which gathers
 whole rows of a single-letter cost matrix when it evaluates all pairs of two
-sets of blocks; the block encoder :meth:`DistortionModel.min_cost` calls it
-one block of rows at a time.  The module always reports the normalized average d = (1/(n+1)) * sum_i rho_i; solvers
-that need the unnormalized sum absorb the factor into the Lagrange multiplier.
-D_max over constant sequences and the zero-rate test live in ``solver``.
+sets of blocks.  The block encoder :meth:`DistortionModel.min_cost` takes a
+block's totals as one matrix product when the single-letter costs are
+nonnegative integers with (n+1) * max rho < 2**53: every partial sum is then
+an exact integer, so the order of the sum cannot change a bit.  Non-integral
+single-letter costs and table costs keep the stage-by-stage gather of
+:meth:`DistortionModel.cost`, whose rounding only that order reproduces.
+The module always reports the normalized average
+d = (1/(n+1)) * sum_i rho_i; solvers that need the unnormalized sum absorb
+the factor into the Lagrange multiplier.  D_max over constant sequences and
+the zero-rate test live in ``solver``.
 """
 from __future__ import annotations
 
@@ -47,6 +53,8 @@ class DistortionModel:
     # alphabet sizes, read from the shape of stage 0
     nx: int = field(init=False)
     ny: int = field(init=False)
+    # every sum of n+1 single-letter costs is an exact integer in any order
+    integral: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("single_letter", "table"):
@@ -70,6 +78,12 @@ class DistortionModel:
             object.__setattr__(self, "tables", stages)
         else:
             object.__setattr__(self, "letter_costs", stages[0])
+        c = stages[0]
+        # -0.0 is excluded: a product's zero is +0.0 where a gather's is not
+        object.__setattr__(self, "integral", bool(
+            self.kind == "single_letter" and np.all(c == np.floor(c))
+            and not np.any(np.signbit(c))
+            and (self.horizon + 1) * int(c.max()) < 2**53))
 
     @classmethod
     def single_letter(cls, costs, horizon: int):
@@ -126,13 +140,37 @@ class DistortionModel:
         """min over the rows of ``y`` of sum_i rho_i(x, y), for each row of
         ``x``; both are (num, n+1) letter arrays.
 
-        The all-pairs sums are taken for a block of rows of ``x`` at a time,
-        about BLOCK_CELLS cells each, so the (len(x), len(y)) table is
-        never held whole.
+        The all-pairs sums are taken a block of about BLOCK_CELLS cells at a
+        time, so the (len(x), len(y)) table is never held whole.  With
+        ``integral`` costs (nonnegative integers, (n+1) * max rho < 2**53) a
+        block's sums are one matrix product: the one-hot letters of its rows
+        of ``x``, shape (rows, nx*(n+1)), times a table W of a block of
+        codewords with W[(a, i), j] = rho(a, y_ji).  Each product is 1*rho
+        or 0*rho and each partial sum an exact integer, so BLAS's order of
+        summation returns the bits of the stage-by-stage sum.  W holds at
+        most BLOCK_CELLS cells, and a running minimum carries the codeword
+        blocks, so the memory does not grow with the book; the one-hot
+        rows and the sums of a product hold a quarter of that each.  Other
+        costs take the gather of :meth:`cost` for a block of rows of ``x``
+        against the whole of ``y``.
         """
-        out = np.empty(len(x))
-        for blk in row_blocks(len(x), len(y)):
-            out[blk] = self.cost(x[blk][:, None], y[None]).min(axis=1)
+        if not self.integral:
+            out = np.empty(len(x))
+            for blk in row_blocks(len(x), len(y)):
+                out[blk] = self.cost(x[blk][:, None], y[None]).min(axis=1)
+            return out
+        out = np.full(len(x), np.inf)
+        letters = np.arange(self.nx)[:, None]
+        width = self.nx * (self.horizon + 1)
+        for words in row_blocks(len(y), width):
+            table = self.letter_costs[:, y[words].T].reshape(width, -1)
+            # a quarter block each for the one-hot rows and the sums keeps
+            # them in cache; with W and BLAS's packed copy of it they hold
+            # about as much as the gather's two (rows, codewords) arrays
+            for blk in row_blocks(len(x), 4 * max(table.shape[1], width)):
+                hot = (x[blk][:, None] == letters).reshape(-1, width)
+                sums = hot.astype(float) @ table
+                np.minimum(out[blk], sums.min(axis=1), out=out[blk])
         return out
 
     def _all_pairs(self, length: int):

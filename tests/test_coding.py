@@ -16,6 +16,7 @@ from crdf import (
     typicality_probability,
 )
 from crdf import coding
+from crdf import indexing as ix
 from crdf import probability
 from crdf.coding import CodebookTooLarge, codebook_size
 from crdf.sampling import random_chain, random_markov_source, random_pmf
@@ -85,6 +86,12 @@ def coding_case(kind, n, rng):
         return (random_markov_source(rng, 3, n),
                 DistortionModel.single_letter(2.5 * rng.random((3, 2)), n),
                 random_chain(rng, 3, 2, n))
+    if kind == "iid-integer":
+        # integral costs: the encoder's matrix-product path
+        return (SourceModel.iid(random_pmf(rng, 3), n),
+                DistortionModel.single_letter(
+                    rng.choice([0.0, 1.0, 2.0, 7.0], size=(3, 4)), n),
+                random_chain(rng, 3, 4, n))
     if kind == "explicit-table":
         return (SourceModel.explicit(random_pmf(rng, 2 ** (n + 1)).weights,
                                      2, n),
@@ -95,7 +102,8 @@ def coding_case(kind, n, rng):
     raise ValueError(kind)
 
 
-CODING_KINDS = ("iid-hamming", "markov-real", "explicit-table")
+CODING_KINDS = ("iid-hamming", "markov-real", "iid-integer",
+                "explicit-table")
 
 
 class TestTypicality:
@@ -194,6 +202,30 @@ class TestTypicality:
         assert res.se_info > 0 and res.se_dist > 0
         assert abs(res.p_info - exact.p_info) <= 5 * res.se_info
         assert abs(res.p_dist - exact.p_dist) <= 5 * res.se_dist
+
+    def test_monte_carlo_of_an_iid_source_is_centred_on_the_exact_means(
+            self, monkeypatch):
+        # at eps = 0.15 an atom of the density lies near a window edge, so
+        # windows centred on sample means moved it in and out: the z-scores
+        # of P(T) against the exact value had spread 2.15 and max 5.72
+        n = 4
+        W = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        spec = TypicalitySpec(
+            epsilon=0.15, horizon=n,
+            source=SourceModel.iid(FinitePmf([0.2, 0.3, 0.5]), n),
+            chain=CausalKernelChain.memoryless(W, n),
+            dist=DistortionModel.hamming(3, n))
+        exact = typicality_probability(spec)
+        monkeypatch.setattr(coding, "EXACT_PAIR_CAP", 1000)
+        monkeypatch.setattr(coding, "MC_SAMPLES", 20_000)
+        z = []
+        for seed in range(30):
+            res = typicality_probability(spec, seed=seed)
+            assert res.method == "monte_carlo"
+            assert res.mean_dist == exact.mean_dist
+            z.append((res.p_info - exact.p_info) / res.se_info)
+        assert np.std(z, ddof=1) < 1.5
+        assert np.max(np.abs(z)) < 4.5
 
     def test_markov_source_small_uses_enumeration(self):
         T = np.array([[0.8, 0.2], [0.2, 0.8]])
@@ -566,3 +598,64 @@ class TestEncoder:
         assert np.array_equal(got, all_pairs_min(dist, xs, words))
         assert np.array_equal(got, dist.cost(xs[:, None],
                                              words[None]).min(axis=1))
+
+    @staticmethod
+    def gathers(monkeypatch, dist, xs, words):
+        """min_cost's result and how many times it called cost."""
+        calls = []
+        cost = DistortionModel.cost
+        monkeypatch.setattr(DistortionModel, "cost",
+                            lambda *a, **k: calls.append(1) or cost(*a, **k))
+        got = dist.min_cost(xs, words)
+        monkeypatch.setattr(DistortionModel, "cost", cost)
+        return got, len(calls)
+
+    @pytest.mark.parametrize("kind, integral", [
+        ("iid-hamming", True), ("iid-integer", True),
+        ("markov-real", False), ("explicit-table", False)])
+    def test_only_integral_letter_costs_take_the_product(self, monkeypatch,
+                                                         kind, integral):
+        n = 3
+        rng = np.random.default_rng(9)
+        src, dist, chain = coding_case(kind, n, rng)
+        xs = src.sample(50, rng)
+        words = chain.sample(src.sample(9, rng), rng)
+        assert dist.integral is integral
+        got, calls = self.gathers(monkeypatch, dist, xs, words)
+        assert (calls == 0) is integral
+        assert np.array_equal(got, all_pairs_min(dist, xs, words))
+
+    @pytest.mark.parametrize("costs, n, integral", [
+        # (n+1) * max rho < 2^53 keeps every partial sum an exact integer
+        ([[0.0, 2.0**52 - 1], [3.0, 1.0]], 1, True),
+        ([[0.0, 2.0**52], [3.0, 1.0]], 1, False),
+        ([[0.0, 2.0**60], [3.0, 1.0]], 1, False),
+        ([[0.0, 1.5], [1.0, 0.0]], 2, False),
+        # a product's zero is +0.0, a gather's sum of -0.0 is -0.0
+        ([[-0.0, 1.0], [1.0, 0.0]], 2, False)])
+    def test_the_product_takes_only_exact_integer_sums(self, monkeypatch,
+                                                       costs, n, integral):
+        dist = DistortionModel.single_letter(costs, n)
+        assert dist.integral is integral
+        xs = ix.all_letters(2, n + 1)
+        words = xs[::-1].copy()
+        got, calls = self.gathers(monkeypatch, dist, xs, words)
+        assert (calls == 0) is integral
+        assert np.array_equal(got, all_pairs_min(dist, xs, words))
+
+    def test_a_book_of_several_codeword_blocks(self):
+        # at n = 11 a block of ternary codewords is BLOCK_CELLS // 36 =
+        # 1,820 of them, so 20,000 codewords span eleven; each trial's best
+        # word, letter by letter, sits in a middle block
+        n = 11
+        rng = np.random.default_rng(12)
+        dist = DistortionModel.single_letter(
+            rng.choice([0.0, 1.0, 2.0, 7.0], size=(3, 4)), n)
+        xs = rng.integers(0, 3, size=(12, n + 1))
+        words = rng.integers(0, 4, size=(20_000, n + 1))
+        assert len(words) > 10 * (probability.BLOCK_CELLS // (3 * (n + 1)))
+        words[9_000:9_012] = dist.letter_costs.argmin(axis=1)[xs]
+        got = dist.min_cost(xs, words)
+        assert np.array_equal(got, all_pairs_min(dist, xs, words))
+        assert np.array_equal(got,
+                              dist.letter_costs.min(axis=1)[xs].sum(axis=1))
