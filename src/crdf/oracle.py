@@ -16,6 +16,14 @@ block and the output law only on that block's columns, so each candidate is
 scored by the change of that block's terms of L (``_stage_tables``), not by
 a full evaluation; every start's reported value is a full evaluation of its
 final chain.
+
+Such compass sweeps crawl along an ill-conditioned valley, so each start
+also makes Hooke & Jeeves' (1961) pattern moves.  It keeps a base point:
+its chain when its current step began, or where its last accepted pattern
+move started.  After an improving sweep at the 4th, 8th, 16th and 32nd
+sweep of a step, it tries its chain plus 1, 2, 4, 8, 16 and 32 times its
+drift from the base.  Each candidate without a negative entry is scored by
+a full evaluation and counted as one, and the best is taken if it lowers L.
 """
 from __future__ import annotations
 
@@ -36,6 +44,16 @@ from .solver import RateDistortionPoint, check_s
 DESCENT_STEP0 = 0.25
 DESCENT_MIN_STEP = 1e-6
 DESCENT_MAX_SWEEPS = 50
+# pattern moves: the sweep counts of a step level after which an entry whose
+# sweep improved tries one, and the multiples of its drift tried
+PATTERN_SWEEPS = (4, 8, 16, 32)
+PATTERN_ALPHAS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+# most (Nx, Ny) cells of candidates scored in one batch, which bounds the
+# memory of a move whatever the alphabet and the number of starts
+PATTERN_CHUNK_CELLS = 1 << 16
+# PATTERN_AT[k]: whether an improving sweep k of a level is followed by one
+PATTERN_AT = np.array([k in PATTERN_SWEEPS
+                       for k in range(DESCENT_MAX_SWEEPS + 1)])
 # floor under a probability whose log is taken; its terms are 0 there
 TINY = 1e-300
 
@@ -165,11 +183,12 @@ class _BatchEvaluator:
 
         The sums run on a C-contiguous copy, so that an entry's value does
         not depend on its batch-mates: ``stage_product`` of a batch puts the
-        batch axis innermost in memory.
+        batch axis innermost in memory.  P_Y adds the x rows in order, as
+        ``J.sum(axis=1)`` does, without numpy's loop over short rows.
         """
         K = np.ascontiguousarray(K)
         J = self.mu[None, :, None] * K
-        py = J.sum(axis=1)
+        py = functools.reduce(np.add, J.transpose(1, 0, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = J * np.log2(K / np.maximum(py, TINY)[:, None, :])
         mi = np.where(J > 0, terms, 0.0).sum(axis=(1, 2))
@@ -316,8 +335,51 @@ def _sweep_stage(ev: _BatchEvaluator, stages_b, i: int, step: np.ndarray,
     return best
 
 
+def _pattern_move(ev: _BatchEvaluator, stages_b, base, best: np.ndarray,
+                  movers: np.ndarray) -> None:
+    """Hooke & Jeeves' (1961) pattern move for the batch entries ``movers``.
+
+    Entry k, at stages x, tries x + a*(x - base) for a in PATTERN_ALPHAS; a
+    candidate with a negative entry is dropped unscored.  The others are
+    scored by ``lagrangian`` in batches of at most PATTERN_CHUNK_CELLS
+    cells, each counting one evaluation, and a mover takes its lowest one
+    if that is below ``_accept_bar`` of its L: its stages become the
+    candidate, its L the candidate's value and its base the x it moved
+    from.  Updates ``stages_b``, ``base`` and ``best`` in place.
+    """
+    # every stage's rows side by side, so that one pass builds and checks
+    # the candidates of all stages
+    cuts = np.cumsum([sb[0].size for sb in stages_b])[:-1]
+
+    def split(flat):
+        return [c.reshape((-1,) + sb.shape[1:])
+                for c, sb in zip(np.split(flat, cuts, axis=1), stages_b)]
+
+    alpha = PATTERN_ALPHAS[:, None]
+    per = max(1, PATTERN_CHUNK_CELLS // (alpha.size * ev.C.size))
+    for lo in range(0, movers.size, per):
+        m = movers[lo:lo + per]
+        x, b = (np.concatenate([a[m].reshape(m.size, -1) for a in arr],
+                               axis=1) for arr in (stages_b, base))
+        cand = x[:, None] + alpha * (x - b)[:, None]   # (mover, alpha, cell)
+        feasible = (cand >= 0).all(axis=2)
+        if not feasible.any():
+            continue
+        vals = np.full(feasible.shape, np.inf)
+        vals[feasible] = ev.lagrangian(split(cand[feasible]))
+        pick = vals.argmin(axis=1)
+        low = vals[np.arange(m.size), pick]
+        take = low < _accept_bar(best[m])
+        k = m[take]
+        for sb, bs, c in zip(stages_b, base, split(cand[take, pick[take]])):
+            bs[k] = sb[k]
+            sb[k] = c
+        best[k] = low[take]
+
+
 def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
-    """Greedy mass-shifting descent, run on every start simultaneously.
+    """Greedy mass-shifting descent with pattern moves, run on every start
+    simultaneously.
 
     Each batch entry follows the serial schedule with its own step and
     sweep counter: sweep all (stage, history) rows trying pairwise mass
@@ -326,23 +388,36 @@ def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
     DESCENT_MAX_SWEEPS sweeps at one step, because near-deterministic optima
     otherwise cycle through microscopic improvements for millions of
     evaluations.  An entry leaves the batch once its step is below
-    DESCENT_MIN_STEP, so no start is evaluated after it has converged.  The
-    returned values are ``value`` of the returned stages.
+    DESCENT_MIN_STEP, so no start is evaluated after it has converged.
+
+    Compass sweeps crawl along an ill-conditioned valley, so each entry also
+    keeps a base point: its stages when its step level began, or where its
+    last accepted pattern move started.  After a sweep that improved, at
+    the sweep counts PATTERN_SWEEPS of a level, the entry extrapolates along
+    its drift from the base (``_pattern_move``); every scored candidate
+    counts one evaluation.  The returned values are ``value`` of the
+    returned stages.
     """
     B = stages_b[0].shape[0]
     best = ev.lagrangian(stages_b)
     step = np.full(B, DESCENT_STEP0)
     sweeps = np.zeros(B, dtype=np.int64)
     live = np.arange(B)                 # the start of each batch entry
+    base = [sb.copy() for sb in stages_b]
     out_stages = [np.empty_like(sb) for sb in stages_b]
     while live.size:
         improved = np.zeros(live.size, dtype=bool)
         for i in range(ev.n + 1):
             best = _sweep_stage(ev, stages_b, i, step, best, improved)
         sweeps += 1
+        movers = np.flatnonzero(improved & PATTERN_AT[sweeps])
+        if movers.size:
+            _pattern_move(ev, stages_b, base, best, movers)
         halve = ~improved | (sweeps >= DESCENT_MAX_SWEEPS)
         step[halve] *= 0.5
         sweeps[halve] = 0
+        for b, sb in zip(base, stages_b):
+            b[halve] = sb[halve]
         done = step < DESCENT_MIN_STEP
         if done.any():
             for out, sb in zip(out_stages, stages_b):
@@ -351,6 +426,7 @@ def _batched_descent(ev: _BatchEvaluator, stages_b) -> tuple:
             live, best, step, sweeps = (live[keep], best[keep], step[keep],
                                         sweeps[keep])
             stages_b = [sb[keep] for sb in stages_b]
+            base = [b[keep] for b in base]
     K = ix.stage_product(out_stages, ev.nx, ev.ny, ev.n)
     return ev.value(K), out_stages
 

@@ -163,7 +163,23 @@ class TestMultistartOracle:
         src = SourceModel.markov(UNIFORM2, T, 2)
         r = brute_force_lagrangian(src, DistortionModel.hamming(2, 2), -1.0,
                                    method="multistart", budget=5, seed=0)
-        assert r.evaluations == 65693
+        assert r.evaluations == 58856
+
+    def test_pattern_moves_reach_the_solver_at_small_multipliers(self):
+        # compass search alone crawls along the ill-conditioned valley of
+        # this instance and stops 2.3e-5 above the solver; extrapolated rows
+        # must stay on the simplex
+        T = np.array([[0.8, 0.2], [0.2, 0.8]])
+        src = SourceModel.markov(UNIFORM2, T, 1)
+        dist = DistortionModel.hamming(2, 1)
+        p = solve_fixed_s(src, dist, -0.05)
+        r = brute_force_lagrangian(src, dist, -0.05, method="multistart",
+                                   budget=100, seed=0)
+        assert abs(r.best_value - p.lagrangian()) <= 1e-7
+        for st in r.best_chain.stages:
+            assert np.all(st >= 0)
+            np.testing.assert_allclose(st.sum(axis=-1), 1.0, rtol=0,
+                                       atol=1e-12)
 
     def test_horizon_cap(self):
         src = SourceModel.iid(UNIFORM2, 3)
