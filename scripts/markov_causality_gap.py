@@ -9,8 +9,9 @@
    multiplier.  The solver's kernel carries the backward cost-to-go term, so
    it reaches the causal optimum and the search finds nothing better: the
    gap column (solver minus search) is never positive beyond rounding, and
-   its negative values (down to about -3e-5 near s = 0) show how far the
-   search stops short of the optimum.
+   its negative values show how far the search stops short of the optimum:
+   at the defaults, -2.6e-9 at s = -0.05 and -1.7e-9 at s = -8, and at
+   most 4e-11 in magnitude in between.
 """
 import argparse
 

@@ -20,16 +20,15 @@ Markov source, with reported standard errors; a compact stage chain is
 refused there.  Monte Carlo centres its windows on the exact per-letter
 (I, E[d]) of an iid source and on the sample means of a Markov one.
 
-The coding trials run as array passes.  Trial t reads the doubles of
-``default_rng([seed, t]).random(k)``, which array passes of numpy's
-SeedSequence hash and PCG64 step compute for all trials at once; one pass of
-:meth:`SourceModel.from_uniforms` turns all of them into source blocks, and
-:meth:`DistortionModel.min_cost` encodes them a block of about BLOCK_CELLS
-cells at a time, so the (trials, codewords) table never exists.  For
-single-letter costs that are nonnegative integers with (n+1) * max rho <
-2**53 a block's totals are one matrix product, exact in any summation
-order; non-integral single-letter costs and table costs take the
-stage-by-stage gather, whose rounding only that order reproduces.
+The coding trials run as array passes.  One generator, seeded by a child of
+the seed's SeedSequence, draws a (trials, k) array of uniforms, row t for
+trial t; one pass of :meth:`SourceModel.from_uniforms` turns all of them
+into source blocks, and :meth:`DistortionModel.min_cost` encodes them a
+block of about BLOCK_CELLS cells at a time, so the (trials, codewords)
+table never exists.  For single-letter costs that are nonnegative integers
+with (n+1) * max rho < 2**53 a block's totals are one matrix product, exact
+in any summation order; non-integral single-letter costs and table costs
+take the stage-by-stage gather, whose rounding only that order reproduces.
 
 Membership conventions (single normalization, block length = n+1 symbols):
 
@@ -352,112 +351,6 @@ class SimReport:
     std_err_distortion: float
 
 
-_M32 = 0xFFFFFFFF
-# SeedSequence's hash constants (NEP 19) and PCG64's LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _mul_add_128(a: list, m: int, c: list) -> list:
-    """(a·m + c) mod 2^128, with a and c as four 32-bit limbs (low first),
-    uint64 arrays (c's may be ints), and m a Python int.  Every partial
-    product fits in 64 bits and is split between its column and the next,
-    so no column sum overflows before the carries are propagated."""
-    mw = [(m >> 32 * j) & _M32 for j in range(4)]
-    col = list(c)
-    for i in range(4):
-        for j in range(4 - i):
-            p = a[i] * mw[j]
-            col[i + j] = col[i + j] + (p & _M32)
-            if i + j < 3:
-                col[i + j + 1] = col[i + j + 1] + (p >> 32)
-    out, carry = [], 0
-    for x in col:
-        x = x + carry
-        out.append(x & _M32)
-        carry = x >> 32
-    return out
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hash of a uint32 array: each call xors in, then
-    multiplies by, the next constant of init·mult^j (mod 2^32)."""
-    const = init
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ const
-        const = const * mult & _M32
-        v = v * const
-        return v ^ (v >> 16)
-    return hashmix
-
-
-def _trial_uniforms(seed: int, trials: int, k: int) -> np.ndarray:
-    """Row t is ``np.random.default_rng([seed, t]).random(k)``, computed for
-    all t < trials at once.
-
-    That generator is PCG64 (XSL-RR output, O'Neill 2014) seeded by
-    ``SeedSequence([seed, t])``.  The steps below are those of numpy's
-    SeedSequence and PCG64, each done elementwise across trials: the entropy
-    words are seed's 32-bit words then t, hashed into a pool of four; the
-    pool gives four 64-bit words, the LCG's initial state and increment;
-    and the double of each draw is ``(x >> 11)·2^-53``.  All wrapping
-    arithmetic is on arrays (uint32 for the hash, 32-bit limbs in uint64
-    for the 128-bit LCG), never on numpy scalars, so that it is silent.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    words, rest = [], int(seed)
-    while True:
-        words.append(rest & _M32)
-        rest >>= 32
-        if not rest:
-            break
-    entropy = ([np.full(trials, w, dtype=np.uint32) for w in words]
-               + [np.arange(trials, dtype=np.uint32)])
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        r = x * _MIX_L - y * _MIX_R
-        return r ^ (r >> 16)
-
-    zero = np.zeros(trials, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[4:]:
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    # generate_state(4, uint64): eight 32-bit words; 64-bit word j is
-    # state[2j] + state[2j+1]·2^32
-    draw = _hasher(_INIT_B, _MULT_B)
-    state = [draw(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # PCG64 takes 64-bit words 0, 1 as the high and low halves of the
-    # initial state, and 2, 3 as those of the stream: inc = stream·2 + 1
-    init = [state[2], state[3], state[0], state[1]]
-    seq = [state[6], state[7], state[4], state[5]]
-    inc = _mul_add_128(seq, 2, [1, 0, 0, 0])
-    # seeding: a step from state 0 gives inc; add init and step once more
-    lcg = _mul_add_128(_mul_add_128(inc, 1, init), _PCG_MULT, inc)
-
-    u = np.empty((trials, k))
-    for j in range(k):
-        lcg = _mul_add_128(lcg, _PCG_MULT, inc)
-        x = ((lcg[3] << 32) | lcg[2]) ^ ((lcg[1] << 32) | lcg[0])
-        rot = lcg[3] >> 26                       # state >> 122
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        u[:, j] = (x >> 11) * 2.0 ** -53
-    return u
-
-
 def simulate(source: SourceModel, dist: DistortionModel,
              chain: CausalKernelChain, rate: float, trials: int,
              epsilon: float, seed: int,
@@ -467,12 +360,14 @@ def simulate(source: SourceModel, dist: DistortionModel,
     The codebook comes from :func:`generate_codebook`: source blocks passed
     through the chain.  Each trial samples a source block, encodes it to the
     codeword of minimum average distortion, and records the achieved
-    distortion.  Trial t's source block depends only on (seed, t): it reads
-    the doubles of ``default_rng([seed, t]).random(k)``, the k =
-    ``source.block_uniforms`` doubles that ``source.sample(1, .)`` reads,
-    computed for all trials in array passes by :func:`_trial_uniforms`, and
-    one pass of :meth:`SourceModel.from_uniforms` maps every trial's
-    uniforms to its block, as that call would.  The encoder is
+    distortion.  The trials draw one (trials, k) array of uniforms, k =
+    ``source.block_uniforms``, from a generator seeded by
+    ``SeedSequence(seed).spawn(1)[0]``, a stream apart from the codebook's
+    and Monte Carlo typicality's ``default_rng(seed)``.  The array fills row
+    by row, so trial t's block depends only on (seed, t), and a larger
+    ``trials`` only appends rows.  One pass of
+    :meth:`SourceModel.from_uniforms` maps row t to trial t's block, as
+    ``source.sample(1, .)`` maps the k doubles it reads.  The encoder is
     :meth:`DistortionModel.min_cost`: for single-letter costs that are
     nonnegative integers with (n+1) * max rho < 2**53 it takes each block's
     totals as one matrix product, exact in any order; non-integral
@@ -489,8 +384,8 @@ def simulate(source: SourceModel, dist: DistortionModel,
     typ = typicality_probability(spec, seed=seed)
     book = generate_codebook(source, chain, rate, seed)
 
-    xs = source.from_uniforms(
-        _trial_uniforms(seed, trials, source.block_uniforms))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    xs = source.from_uniforms(rng.random((trials, source.block_uniforms)))
 
     per_trial = dist.min_cost(xs, book.codewords) / (n + 1)
     mean_d = float(per_trial.mean())

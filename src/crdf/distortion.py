@@ -10,7 +10,9 @@ block's totals as one matrix product when the single-letter costs are
 nonnegative integers with (n+1) * max rho < 2**53: every partial sum is then
 an exact integer, so the order of the sum cannot change a bit.  Non-integral
 single-letter costs and table costs keep the stage-by-stage gather of
-:meth:`DistortionModel.cost`, whose rounding only that order reproduces.
+:meth:`DistortionModel.cost`, whose rounding only that order reproduces, and
+so do source alphabets above PRODUCT_MAX_LETTERS letters, where the
+product's nx multiply-adds per stage cost more than the gather's one add.
 The module always reports the normalized average
 d = (1/(n+1)) * sum_i rho_i; solvers that need the unnormalized sum absorb
 the factor into the Lagrange multiplier.  D_max over constant sequences and
@@ -33,6 +35,10 @@ from .probability import (
     product_measure,
     row_blocks,
 )
+
+# the product does nx*(n+1) multiply-adds per cell where the gather does n+1
+# adds, so above this many source letters the gather is faster
+PRODUCT_MAX_LETTERS = 16
 
 
 @dataclass(frozen=True)
@@ -151,10 +157,11 @@ class DistortionModel:
         most BLOCK_CELLS cells, and a running minimum carries the codeword
         blocks, so the memory does not grow with the book; the one-hot
         rows and the sums of a product hold a quarter of that each.  Other
-        costs take the gather of :meth:`cost` for a block of rows of ``x``
-        against the whole of ``y``.
+        costs, and integral ones over more than PRODUCT_MAX_LETTERS source
+        letters, take the gather of :meth:`cost` for a block of rows of
+        ``x`` against the whole of ``y``.
         """
-        if not self.integral:
+        if not self.integral or self.nx > PRODUCT_MAX_LETTERS:
             out = np.empty(len(x))
             for blk in row_blocks(len(x), len(y)):
                 out[blk] = self.cost(x[blk][:, None], y[None]).min(axis=1)

@@ -15,7 +15,7 @@ from crdf import (
     solve_fixed_s,
     typicality_probability,
 )
-from crdf import coding
+from crdf import coding, distortion
 from crdf import indexing as ix
 from crdf import probability
 from crdf.coding import CodebookTooLarge, codebook_size
@@ -62,14 +62,23 @@ def all_pairs_min(dist, xs, words):
     return dist.cost(x, y).min(axis=1)
 
 
-def reference_simulation(src, dist, chain, rate, trials, seed):
+def trial_draws(src, trials, seed):
+    """The (trials, k) uniforms of the trials' stream: one draw from the
+    generator of the seed's first child SeedSequence."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return np.random.default_rng(child).random((trials, src.block_uniforms))
+
+
+def reference_simulation(src, dist, chain, rate, trials, seed, u=None):
     """Mean and standard error of the encoded distortion, with each trial's
-    block drawn by its own ``source.sample(1, .)`` call and the whole
-    normalized (trials, codewords) table built at once."""
+    block mapped from its row of uniforms (``u``, by default the trials'
+    stream) by its own ``from_uniforms`` call and the whole normalized
+    (trials, codewords) table built at once."""
     n = src.horizon
     words = generate_codebook(src, chain, rate, seed).codewords
-    xs = np.array([src.sample(1, np.random.default_rng([seed, t]))[0]
-                   for t in range(trials)])
+    if u is None:
+        u = trial_draws(src, trials, seed)
+    xs = np.array([src.from_uniforms(row[None])[0] for row in u])
     x, y = np.broadcast_arrays(xs[:, None], words[None])
     per_trial = (dist.cost(x, y) / (n + 1)).min(axis=1)
     return (float(per_trial.mean()),
@@ -397,7 +406,7 @@ class TestSimulate:
     def test_frozen_trend_values(self):
         # rate 0.34 sits above R(0.25) = 1 - h(1/4) ~= 0.189; the empirical
         # mean distortion decreases toward the target as the block grows
-        frozen = {7: 0.26844, 11: 0.24413, 15: 0.23234}
+        frozen = {7: 0.267125, 11: 0.24450, 15: 0.23325}
         means = []
         for n, val in frozen.items():
             rep = self.run(n, trials=2000)
@@ -520,6 +529,17 @@ class TestSimulate:
             assert rep.mean_distortion == mean
             assert rep.std_err_distortion == se
 
+    @pytest.mark.parametrize("kind", CODING_KINDS)
+    def test_a_trial_depends_only_on_seed_and_index(self, kind):
+        # 37 trials are the first 37 rows of a 400-trial draw
+        n = 2
+        src, dist, chain = coding_case(kind, n, np.random.default_rng(4))
+        rep = simulate(src, dist, chain, 0.6, 37, 0.1, 5)
+        mean, se = reference_simulation(src, dist, chain, 0.6, 37, 5,
+                                        u=trial_draws(src, 400, 5)[:37])
+        assert rep.mean_distortion == mean
+        assert rep.std_err_distortion == se
+
     def test_table_distortion_spans_unsampled_letters(self):
         # with p(1) = 0.001 five trials draw only the letter 0; the encoder's
         # cost table must still cover the whole source alphabet
@@ -560,25 +580,33 @@ class TestTrialDraws:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    # 2^100 + 7 is four words, so (seed, t) is five: past SeedSequence's
-    # pool of four, it runs the extra mixing loop
+    # 2^100 + 7 is four words of entropy, past SeedSequence's pool of four
+    # once spawning appends the child's key
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
                                       2**100 + 7])
     @pytest.mark.parametrize("trials", [1, 300])
     @pytest.mark.parametrize("k", [1, 7, 20])
-    def test_array_uniforms_match_the_trial_generators(self, seed, trials,
-                                                       k):
-        want = np.array([np.random.default_rng([seed, t]).random(k)
-                         for t in range(trials)])
-        got = coding._trial_uniforms(seed, trials, k)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    def test_array_uniforms_match_the_trial_generators(self, monkeypatch,
+                                                       seed, trials, k):
+        # after the codebook's source blocks, simulate maps one (trials, k)
+        # draw of the seed's child stream
+        n = k - 1
+        src = SourceModel.iid(FinitePmf.uniform(2), n)
+        seen = []
+        mapping = SourceModel.from_uniforms
+        monkeypatch.setattr(SourceModel, "from_uniforms",
+                            lambda self, u: seen.append(u) or mapping(self, u))
+        simulate(src, DistortionModel.hamming(2, n),
+                 CausalKernelChain.memoryless(W_QUARTER, n), 0.1, trials,
+                 0.1, seed)
+        assert np.array_equal(seen[-1], trial_draws(src, trials, seed))
 
     def test_negative_seed_rejected(self):
+        n = 2
+        src, dist, chain = coding_case("iid-hamming", n,
+                                       np.random.default_rng(4))
         with pytest.raises(ValueError):
-            np.random.default_rng([-1, 0])
-        with pytest.raises(ValueError):
-            coding._trial_uniforms(-1, 3, 2)
+            simulate(src, dist, chain, 0.6, 10, 0.1, seed=-1)
 
 
 class TestEncoder:
@@ -612,17 +640,28 @@ class TestEncoder:
 
     @pytest.mark.parametrize("kind, integral", [
         ("iid-hamming", True), ("iid-integer", True),
-        ("markov-real", False), ("explicit-table", False)])
+        ("markov-real", False), ("explicit-table", False),
+        ("iid-integer-24", True)])
     def test_only_integral_letter_costs_take_the_product(self, monkeypatch,
                                                          kind, integral):
         n = 3
         rng = np.random.default_rng(9)
-        src, dist, chain = coding_case(kind, n, rng)
+        # above PRODUCT_MAX_LETTERS source letters integral costs gather
+        wide = kind == "iid-integer-24"
+        if wide:
+            src = SourceModel.iid(random_pmf(rng, 24), n)
+            dist = DistortionModel.single_letter(
+                rng.integers(0, 5, size=(24, 24)).astype(float), n)
+            chain = CausalKernelChain.memoryless(
+                rng.dirichlet(np.ones(24), size=24), n)
+            assert dist.nx > distortion.PRODUCT_MAX_LETTERS
+        else:
+            src, dist, chain = coding_case(kind, n, rng)
         xs = src.sample(50, rng)
         words = chain.sample(src.sample(9, rng), rng)
         assert dist.integral is integral
         got, calls = self.gathers(monkeypatch, dist, xs, words)
-        assert (calls == 0) is integral
+        assert (calls == 0) is (integral and not wide)
         assert np.array_equal(got, all_pairs_min(dist, xs, words))
 
     @pytest.mark.parametrize("costs, n, integral", [
