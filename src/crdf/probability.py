@@ -435,7 +435,8 @@ def _joint_and_conditional(source: SourceModel, kernel: Kernel) -> tuple:
 
 
 def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
-    """Conditionals nu_i(y_i | y^{i-1}) of a pmf nu over Y^{0..n}.
+    """Conditionals nu_i(y_i | y^{i-1}) of a pmf nu over Y^{0..n}, on its
+    last axis; leading axes are a batch of pmfs.
 
     Row y^{i-1} of the i-th table is uniform where the prefix carries at
     most UNREACHABLE_MASS.  A complex nu, which the solver's complex-step
@@ -445,12 +446,12 @@ def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
     conditionals = []
     child = nu
     for i in range(n, -1, -1):
-        child = child.reshape(ny**i, ny)
-        parent = child.sum(axis=1)
+        child = child.reshape(*nu.shape[:-1], ny**i, ny)
+        parent = child.sum(axis=-1)
         conditionals.insert(0, np.divide(
-            child, parent[:, None],
+            child, parent[..., None],
             out=np.full(child.shape, 1.0 / ny, dtype=child.dtype),
-            where=parent.real[:, None] > UNREACHABLE_MASS))
+            where=parent.real[..., None] > UNREACHABLE_MASS))
         child = parent
     return conditionals
 

@@ -39,21 +39,24 @@ gap strictly falls and is halved otherwise (``_newton_step``).
     masses off the support take the plain step.
   - Causal: J is taken by complex step (Squire & Trapp 1998) through the
     stage code, column k being Im P_Y(nu with nu_k * e^{ih}) / h for
-    h = 1e-30, exact to rounding (``_complex_step_jacobian``).  It costs
-    one complex evaluation per mass, ny^(n+1) in all, so an episode starts
-    only after CAUSAL_PATIENCE = 12 plain steps in a row whose gap did not
-    fall: plain steps often stall for a few steps and then fall again, and
-    at a patience of 1 the ternary Markov sweep built 7 times the
-    Jacobians.  The stall it targets is a multiplier where an output letter
-    enters or leaves the support: at s = -0.4434 on that source at n = 1,
-    two masses settle at 6.6e-4 while two decay at r = 0.984 per step, and
-    the plain loop takes 4,139 steps.  A mass below LEAVING_MASS whose
-    log r is below -LEAVING_RATE leaves the support, and every mass off it
-    steps by BETA_MAX * log r, so the decaying masses empty while Newton
-    settles the rest.  J is built only while ny^(n+1) <= JACOBIAN_MAX = 64:
-    a dense J at N masses costs N evaluations, 0.44 s at N = 512 (binary,
-    n = 8; 2 vCPU) against 0.1 s for a whole four-point plain sweep there.
-    Above the bound the causal solve takes no Newton step.
+    h = 1e-30, exact to rounding (``_complex_step_jacobian``).  The stage
+    code takes leading batch axes, so all ny^(n+1) perturbed laws go
+    through one batched complex evaluation, which takes 1.5 times a real
+    evaluation at ny^(n+1) = 9.  An episode starts only after
+    CAUSAL_PATIENCE = 12 plain steps in a row whose gap did not fall: plain
+    steps often stall for a few steps and then fall again, and at a
+    patience of 1 the ternary Markov sweep built 7 times the Jacobians.
+    The stall it targets is a multiplier where an output letter enters or
+    leaves the support: at s = -0.4434 on that source at n = 1, two masses
+    settle at 6.6e-4 while two decay at r = 0.984 per step, and the plain
+    loop takes 4,139 steps.  A mass below LEAVING_MASS whose log r is below
+    -LEAVING_RATE leaves the support, and every mass off it steps by
+    BETA_MAX * log r, so the decaying masses empty while Newton settles the
+    rest.  J is built only while ny^(n+1) <= JACOBIAN_MAX = 64: the batch
+    of N laws holds N complex copies of every stage table, and at N = 512
+    (binary, n = 8; 2 vCPU) J takes 0.16 s and 48 MB, against 0.08 s for a
+    whole four-point plain sweep there.  Above the bound the causal solve
+    takes no Newton step.
 
 State layout.  For an iid or Markov source with single-letter costs, q_i
 depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
@@ -236,11 +239,18 @@ def _reduce_last(op, a):
     the slices (2 vCPU, numpy 2.4).  So on arrays
     of at least SLICE_MIN entries, rows of 2 to PAIRWISE_MIN - 1 entries are
     reduced elementwise across the slices a[..., 0], a[..., 1], ... in
-    order.  That is numpy's own order for a sum of such rows, and a minimum
-    does not depend on the order.
+    order.  That is numpy's own order for a real sum of such rows, and a
+    minimum does not depend on the order.
+
+    Complex input, the complex-step Jacobian's, takes the same paths.  But
+    numpy's pairwise sum counts the two parts of a complex entry, so it adds
+    complex rows of 4 or more entries out of order, and there the slice
+    path agrees with it only to rounding.  So the path is chosen by the size
+    of one law's table, the last three axes, not of a batch of laws: a law
+    gets the same bits alone or in a batch.
     """
     k = a.shape[-1]
-    if a.size < SLICE_MIN or not 2 <= k < PAIRWISE_MIN:
+    if math.prod(a.shape[-3:]) < SLICE_MIN or not 2 <= k < PAIRWISE_MIN:
         return op.reduce(a, axis=-1)
     out = op(a[..., 0], a[..., 1])
     for j in range(2, k):
@@ -395,9 +405,11 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
     again.  Any step whose gap falls, and the start of an episode, set the
     count of stalled plain steps back to 0.
 
-    The solve has converged when the kernel moves less than ``tol`` and the
-    gap is at most ``tol``.  Returns (kernel, gap, iterations, converged),
-    the kernel being the converged candidate or else the last accepted one.
+    The solve has converged when the gap is at most ``tol`` and the kernel
+    moves less than ``tol``.  The gap is read first, so the kernel step is
+    computed only once the gap passes.  Returns (kernel, gap, iterations,
+    converged), the kernel being the converged candidate or else the last
+    accepted one.
     """
     q, p = evaluate(nu)
     gap = _gap(nu, p, n)
@@ -412,7 +424,7 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
             cand, used = _natural_step(nu, p, beta)
         q_new, p_new = evaluate(cand)
         gap_new = _gap(cand, p_new, n)
-        if _max_step(q_new, q) < opts.tol and gap_new <= opts.tol:
+        if gap_new <= opts.tol and _max_step(q_new, q) < opts.tol:
             return q_new, gap_new, iterations, True
         falls = gap_new < gap
         if direction is not None:
@@ -508,12 +520,14 @@ class _Workspace:
         """Optimal causal kernel for fixed output conditionals.
 
         Runs the backward recursion from stage n to 0 and returns the stage
-        kernels together with V_0 = -log Z_0, shape (1, nx).  rho_i and G_i
-        are shifted by their minimum over y_i, which cancels in the
-        normalization and is added back into V_i, so neither exponential
-        exceeds 1 and each equals 1 somewhere in every row.  Minima and row
-        sums over y_i are taken by ``_reduce_last``, across the ny slices on
-        large tables, with the results of numpy's last-axis reductions.
+        kernels together with V_0 = -log Z_0, shape (1, nx).  Leading batch
+        axes of ``nu_conds`` carry through to both, as they do through
+        ``prefix_laws`` and ``output_law``.  rho_i and G_i are shifted by
+        their minimum over y_i, which cancels in the normalization and is
+        added back into V_i, so neither exponential exceeds 1 and each
+        equals 1 somewhere in every row.  Minima and row sums over y_i are
+        taken by ``_reduce_last``, across the ny slices on large tables,
+        with the results of numpy's last-axis reductions.
         """
         nx, ny = self.nx, self.ny
         exp_cost, cost_shift = self.tilt_tables
@@ -521,21 +535,24 @@ class _Workspace:
         G = None
         shift = 0.0
         for i in range(self.n, -1, -1):
-            w = exp_cost[i] * nu_conds[i][:, None, :]
+            w = exp_cost[i] * nu_conds[i][..., None, :]
             if G is not None:
                 shift = _reduce_last(np.minimum, G)
-                w = w * np.exp(shift[:, :, None] - G)
+                # in place, so that a complex product keeps its operand
+                # order: numpy computes w * tmp into a large temporary as
+                # tmp * w, which rounds differently
+                w *= np.exp(shift[..., None] - G)
             stages[i], log_z = _normalized(w, lambda: (
                 self.s * self.cost[i] - cost_shift[i][:, :, None]
-                + np.log(nu_conds[i])[:, None, :]
-                + (0.0 if G is None else shift[:, :, None] - G)))
+                + np.log(nu_conds[i])[..., None, :]
+                + (0.0 if G is None else shift[..., None] - G)))
             V = shift - log_z - cost_shift[i]
             if i > 0:
                 # G_{i-1}(x^{i-1}, y^{i-1}) = sum_{x_i} mu(x_i|x^{i-1}) V_i;
                 # in the Markov-state layout V_i has no x^{i-1} axis, and
                 # mu_next brings in x_{i-1}
-                V = V.reshape(ny ** (i - 1), ny, -1, nx)
-                G = (V * self.mu_next[i - 1]).sum(axis=3).transpose(0, 2, 1)
+                V = V.reshape(*V.shape[:-2], ny ** (i - 1), ny, -1, nx)
+                G = (V * self.mu_next[i - 1]).sum(axis=-1).swapaxes(-1, -2)
         return stages, V
 
     def prefix_laws(self, stages) -> list:
@@ -550,19 +567,19 @@ class _Workspace:
             # P(y^{i-1}, x^i, y_i) reordered to (y^i, x^i), then times
             # mu(x_{i+1} | x^i) gives P(y^i, x^{i+1}); in the Markov-state
             # layout the product sums x_i out
-            b = (laws[i][:, :, None] * stages[i]).transpose(0, 2, 1)
-            b = b.reshape(-1, b.shape[2])
+            b = (laws[i][..., None] * stages[i]).swapaxes(-1, -2)
+            b = b.reshape(*b.shape[:-3], -1, b.shape[-1])
             if self.markov:
                 laws.append(b @ self.mu_next[i])
             else:
-                laws.append((b[:, :, None] * self.mu_next[i])
-                            .reshape(len(b), -1))
+                laws.append((b[..., None] * self.mu_next[i])
+                            .reshape(*b.shape[:-1], -1))
         return laws
 
     def output_law(self, stages) -> np.ndarray:
         """Output marginal nu(y^n) of the source through a stage chain."""
-        a = self.prefix_laws(stages)[-1]
-        return (a[:, None, :] @ stages[self.n]).reshape(-1)
+        p = self.prefix_laws(stages)[-1][..., None, :] @ stages[self.n]
+        return p.reshape(*p.shape[:-3], -1)
 
     def min_sequence(self) -> tuple:
         """sum_i E_mu[rho_i(X^i, y^i)] of every sequence y^n, and its first
@@ -636,19 +653,17 @@ def _complex_step_jacobian(evaluate, nu) -> np.ndarray:
 
     Column k is Im P_Y(nu with nu_k * e^{ih}) / h, h = COMPLEX_STEP, and
     nu_k * e^{ih} = nu_k * (1 + ih) in floating point.  ``evaluate`` runs
-    on the complex law unchanged, so J is the derivative of the very map
+    on the complex laws unchanged, so J is the derivative of the very map
     the loop iterates, the UNREACHABLE_MASS rule of the causal solver's
     chain-rule conditionals included.  With no difference of two values, it
-    is exact to rounding however small h is.  It costs one complex
-    evaluation per mass of nu, which is why ``solve_fixed_s`` builds it only
-    while there are at most JACOBIAN_MAX masses.
+    is exact to rounding however small h is.  The N perturbed laws are the
+    rows of one (N, N) array, passed to ``evaluate`` once, and each row
+    gets the bits of its own evaluation.  That batch holds N copies of
+    every stage table, which is why ``solve_fixed_s`` builds J only while
+    there are at most JACOBIAN_MAX masses.
     """
-    jac = np.empty((len(nu), len(nu)))
-    for k in range(len(nu)):
-        z = nu.astype(complex)
-        z[k] += 1j * COMPLEX_STEP * nu[k]
-        jac[:, k] = evaluate(z)[1].imag / COMPLEX_STEP
-    return jac
+    z = nu + 1j * COMPLEX_STEP * np.diag(nu)      # row k perturbs nu_k
+    return evaluate(z)[1].imag.T / COMPLEX_STEP
 
 
 def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,

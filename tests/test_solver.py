@@ -37,6 +37,7 @@ from crdf.sampling import (
     random_pmf,
 )
 from crdf.solver import (
+    COMPLEX_STEP,
     PAIRWISE_MIN,
     SLICE_MIN,
     _Workspace,
@@ -794,6 +795,126 @@ class TestNewtonStep:
         assert np.all(cand > 0) and abs(cand.sum() - 1.0) <= 1e-15
         cand, _ = _newton_step(nu, nu, (np.array([0.0, 0.0, -2e4]), on), 1.0)
         assert cand is None
+
+
+def _jacobian_case(case):
+    """(workspace, law) of the batched-Jacobian tests."""
+    rng = np.random.default_rng(4)
+    if case == "underflow":
+        # test_complex_input_keeps_the_real_values's instance: the rows of
+        # x = 1 underflow and take the log-sum-exp branch
+        src = SourceModel.iid(FinitePmf([1.0, 0.0]), 2)
+        dist = DistortionModel.single_letter(100.0 * (1.0 - np.eye(2)), 2)
+        return _Workspace(src, dist, -20.0), np.eye(8)[0]
+    if case == "unreachable":
+        # test_jacobian_is_finite_where_a_prefix_is_unreachable's law
+        ws = _Workspace(*mkv2_ham_n2(), -1.0)
+        nu = random_pmf(np.random.default_rng(1), 8, floor=0.01).weights
+        nu = nu.copy()
+        nu[:2] = 1e-17
+        return ws, nu / nu.sum()
+    if case == "letters4-n2":
+        # complex rows of 4 entries, which numpy sums out of order, on
+        # tables on either side of SLICE_MIN
+        src = random_markov_source(rng, 4, 2)
+        dist = DistortionModel.single_letter(rng.random((4, 4)), 2)
+    elif case == "table-n5":
+        # a batch of 64 full-history laws whose tables pass the size at
+        # which numpy reuses a temporary for the product's result
+        src = random_markov_source(rng, 2, 5)
+        dist = _table_twin(DistortionModel.single_letter(rng.random((2, 2)),
+                                                         5))
+    else:
+        src, dist = {"mkv2_ham_n2": mkv2_ham_n2, "ternary_markov":
+                     ternary_markov, "random_table_markov":
+                     random_table_markov}[case]()
+    ws = _Workspace(src, dist, -1.7)
+    return ws, random_pmf(rng, ws.ny ** (ws.n + 1)).weights
+
+
+class TestBatchedJacobian:
+    """The complex-step Jacobian is one evaluation of the (N, N) batch of
+    perturbed laws, and every law of a batch gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("case", [
+        "mkv2_ham_n2", "ternary_markov", "random_table_markov",
+        "unreachable", "underflow", "letters4-n2", "table-n5"])
+    def test_equals_the_column_loop(self, case):
+        ws, nu = _jacobian_case(case)
+        evaluate = causal_evaluation(ws)
+        shapes = []
+
+        def counted(z):
+            shapes.append(z.shape)
+            return evaluate(z)
+        J = _complex_step_jacobian(counted, nu)
+        assert shapes == [(len(nu), len(nu))]
+        loop = np.empty((len(nu), len(nu)))
+        for k in range(len(nu)):
+            z = nu.astype(complex)
+            z[k] += 1j * COMPLEX_STEP * nu[k]
+            loop[:, k] = evaluate(z)[1].imag / COMPLEX_STEP
+        assert np.all(np.isfinite(J)) and np.array_equal(J, loop)
+
+    @pytest.mark.parametrize("case", [
+        "mkv2_ham_n2", "ternary_markov", "random_table_markov",
+        "letters4-n2", "table-n5"])
+    def test_a_batch_of_one_law_is_the_law(self, case):
+        ws, nu = _jacobian_case(case)
+        conds = _chain_rule_conditionals(nu, ws.ny, ws.n)
+        batch = _chain_rule_conditionals(nu[None, :], ws.ny, ws.n)
+        assert all(np.array_equal(a, b[0]) for a, b in zip(conds, batch))
+        (q, V), (qb, Vb) = ws.tilt(conds), ws.tilt(batch)
+        assert all(np.array_equal(a, b[0]) for a, b in zip(q, qb))
+        assert np.array_equal(V, Vb[0])
+        laws, laws_b = ws.prefix_laws(q), ws.prefix_laws(qb)
+        # the first law is the source's, with no batch axis
+        assert np.array_equal(laws[0], laws_b[0])
+        assert all(np.array_equal(a, b[0]) for a, b in zip(laws[1:],
+                                                             laws_b[1:]))
+        assert np.array_equal(ws.output_law(q), ws.output_law(qb)[0])
+
+
+class TestJacobianPins:
+    """Cold causal solves on both stage layouts; (iterations, gap, rate,
+    rate_formula) and the count of Jacobians built were recorded before the
+    Jacobian became one batched evaluation, and must not move by one bit.
+    The first two stop before a Newton episode starts; mkv2_ham_n2 at
+    s = -0.5 and its full-history twin build four Jacobians each."""
+
+    PINS = [
+        (mkv2_ham_n2, False, -3.1348, 0, "(32, 1.313274593706975e-10, "
+         "0.6544191933705991, 0.6544191933705992)"),
+        (random_table_markov, False, -1.7, 0, "(42, 2.0728203652534274e-10, "
+         "0.06673109905679175, 0.0667310990567917)"),
+        (mkv2_ham_n2, False, -0.5, 4, "(31, 3.2034265038149167e-16, "
+         "0.057175560975293575, 0.057175560975293555)"),
+        (mkv2_ham_n2, True, -0.5, 4, "(31, 3.2034265038149167e-16, "
+         "0.05717556097529363, 0.05717556097529358)"),
+    ]
+
+    @pytest.mark.parametrize("instance, twin, s, jacobians, fields", PINS,
+                             ids=["mkv2_ham_n2", "random_table_markov",
+                                  "mkv2_ham_n2-newton", "twin-newton"])
+    def test_cold_solves_are_unchanged(self, monkeypatch, instance, twin, s,
+                                       jacobians, fields):
+        from crdf import solver
+        src, dist = instance()
+        if twin:
+            src = SourceModel.explicit(src.joint_pmf(), src.alphabet,
+                                       src.horizon)
+            dist = _table_twin(dist)
+        built = []
+
+        def counted(evaluate, nu):
+            built.append(len(nu))
+            return _complex_step_jacobian(evaluate, nu)
+        monkeypatch.setattr(solver, "_complex_step_jacobian", counted)
+        p = solve_fixed_s(src, dist, s)
+        assert _Workspace(src, dist, s).markov == (
+            instance is mkv2_ham_n2 and not twin)
+        assert p.converged and len(built) == jacobians
+        assert repr((p.iterations, p.gap, p.rate, p.rate_formula)) == fields
 
 
 class TestGateaux:
