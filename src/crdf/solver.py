@@ -43,20 +43,28 @@ gap strictly falls and is halved otherwise (``_newton_step``).
     code takes leading batch axes, so all ny^(n+1) perturbed laws go
     through one batched complex evaluation, which takes 1.5 times a real
     evaluation at ny^(n+1) = 9.  An episode starts only after
-    CAUSAL_PATIENCE = 12 plain steps in a row whose gap did not fall: plain
-    steps often stall for a few steps and then fall again, and at a
-    patience of 1 the ternary Markov sweep built 7 times the Jacobians.
-    The stall it targets is a multiplier where an output letter enters or
-    leaves the support: at s = -0.4434 on that source at n = 1, two masses
-    settle at 6.6e-4 while two decay at r = 0.984 per step, and the plain
-    loop takes 4,139 steps.  A mass below LEAVING_MASS whose log r is below
+    CAUSAL_PATIENCE = 12 stalled steps in a row: plain steps often stall for
+    a few steps and then fall again, and at a patience of 1 the ternary
+    Markov sweep built 7 times the Jacobians.  A causal step stalls when it
+    is plain or at beta = BETA_MAX and its gap falls by less than the
+    factor CAUSAL_SLOW = 0.9.  Next to s = 0, steps at BETA_MAX are all
+    accepted but each lowers the gap by a factor of only about 0.9999: a
+    cold solve of the binary Markov source at n = 2 and s = -0.001 that
+    counted plain steps alone stopped at 20,000 iterations with gap 2.8e-8,
+    and now converges in 27 with 7 Jacobians.  The other stall is a
+    multiplier where an output letter enters or leaves the support: at
+    s = -0.4434 on the ternary Markov source at n = 1, two masses settle at
+    6.6e-4 while two decay at r = 0.984 per step, and the plain loop takes
+    4,139 steps.  A mass below LEAVING_MASS whose log r is below
     -LEAVING_RATE leaves the support, and every mass off it steps by
     BETA_MAX * log r, so the decaying masses empty while Newton settles the
     rest.  J is built only while ny^(n+1) <= JACOBIAN_MAX = 64: the batch
     of N laws holds N complex copies of every stage table, and at N = 512
     (binary, n = 8; 2 vCPU) J takes 0.16 s and 48 MB, against 0.08 s for a
-    whole four-point plain sweep there.  Above the bound the causal solve
-    takes no Newton step.
+    whole four-point plain sweep there.  That sweep never stalls, so a
+    higher bound would change none of its solves; the bound keeps the
+    batch's memory, which grows as N^2, small.  Above the bound the causal
+    solve takes no Newton step.
 
 State layout.  For an iid or Markov source with single-letter costs, q_i
 depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
@@ -131,10 +139,13 @@ BETA_MAX = 256.0
 NEWTON_FLOOR = 1e-200
 NEWTON_BAND = 1.0
 NEWTON_MIN_SCALE = 1.0 / 16.0
-# causal Newton step: stalled plain steps before an episode starts; a mass
-# below LEAVING_MASS whose log r is below -LEAVING_RATE leaves its support;
-# the complex step of its Jacobian, built only while ny^(n+1) <= JACOBIAN_MAX
+# causal Newton step: stalled steps before an episode starts, a step being
+# stalled when it is plain or at BETA_MAX and its gap does not fall below
+# CAUSAL_SLOW times the last; a mass below LEAVING_MASS whose log r is below
+# -LEAVING_RATE leaves its support; the complex step of its Jacobian, built
+# only while ny^(n+1) <= JACOBIAN_MAX
 CAUSAL_PATIENCE = 12
+CAUSAL_SLOW = 0.9
 LEAVING_MASS = 1e-6
 LEAVING_RATE = 1e-3
 COMPLEX_STEP = 1e-30
@@ -382,7 +393,7 @@ def _newton_step(nu, p, direction, scale: float) -> tuple:
 
 
 def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
-               patience: int = 1, causal_support: bool = False) -> tuple:
+               patience: int = 1, causal: bool = False) -> tuple:
     """Alternating minimization over the output law, safeguarded.
 
     ``evaluate(nu)`` returns the kernel tilted at the output law nu, a list
@@ -397,13 +408,16 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
 
     ``jacobian(nu, q, p)``, if given, returns dP_Y / dlog nu at the last
     accepted law nu, with its kernel q and output law p.  Then, once
-    ``patience`` plain steps in a row have not lowered the gap, Newton
-    candidates follow (``_newton_step``, with ``causal_support`` passed to
-    ``_newton_direction``): each is accepted when the gap strictly falls,
-    and the next is formed at the new law; a rejected one is retried at
-    half its scale, and below NEWTON_MIN_SCALE the plain path takes over
-    again.  Any step whose gap falls, and the start of an episode, set the
-    count of stalled plain steps back to 0.
+    ``patience`` steps in a row have stalled, Newton candidates follow
+    (``_newton_step``, with ``causal`` passed to ``_newton_direction``):
+    each is accepted when the gap strictly falls, and the next is formed at
+    the new law; a rejected one is retried at half its scale, and below
+    NEWTON_MIN_SCALE the plain path takes over again.  A step is slow when
+    its gap does not fall, or, with ``causal``, does not fall below
+    CAUSAL_SLOW times the last gap.  A slow plain step has stalled, and
+    with ``causal`` so has a slow step at BETA_MAX: such steps can each be
+    accepted and still gain almost nothing.  A step that is not slow, and
+    the start of an episode, set the count of stalled steps back to 0.
 
     The solve has converged when the gap is at most ``tol`` and the kernel
     moves less than ``tol``.  The gap is read first, so the kernel step is
@@ -427,22 +441,24 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
         if gap_new <= opts.tol and _max_step(q_new, q) < opts.tol:
             return q_new, gap_new, iterations, True
         falls = gap_new < gap
+        slow = not gap_new < (CAUSAL_SLOW if causal else 1.0) * gap
         if direction is not None:
             if falls:
                 nu, q, p, gap = cand, q_new, p_new, gap_new
                 direction, scale = _newton_direction(
-                    nu, p, jacobian(nu, q, p), causal_support), 1.0
+                    nu, p, jacobian(nu, q, p), causal), 1.0
             else:
                 scale /= 2.0
             continue
         if falls or used == 1.0:
             nu, q, p, gap = cand, q_new, p_new, gap_new
         beta = min(2.0 * used, BETA_MAX) if falls else 1.0
-        stalled = 0 if falls else stalled + (used == 1.0)
+        counted = used == 1.0 or (causal and used == BETA_MAX)
+        stalled = stalled + counted if slow else 0
         if jacobian is not None and stalled >= patience:
             stalled = 0
             direction, scale = _newton_direction(
-                nu, p, jacobian(nu, q, p), causal_support), 1.0
+                nu, p, jacobian(nu, q, p), causal), 1.0
     return q, gap, iterations, False
 
 
@@ -688,7 +704,7 @@ def solve_fixed_s(source: SourceModel, dist: DistortionModel, s: float,
                 if ny ** (n + 1) <= JACOBIAN_MAX else None)
     q, gap, iterations, converged = _alternate(
         evaluate, ws.start(warm_start), n, opts, jacobian, CAUSAL_PATIENCE,
-        causal_support=True)
+        causal=True)
     chain = CausalKernelChain.from_stages(q, nx, ny)
     nu, d_sum, info = ws.measures(q)
     output = OutputProcess(ny=ny, horizon=n, joint=nu)

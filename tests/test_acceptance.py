@@ -257,19 +257,15 @@ class TestCriterion7:
 
 class TestDroppedPoints:
     def test_every_dropped_point_reports_its_gap(self, matrix_curves):
-        # the plain iteration drops 10 of these 41 points, and the causal
-        # Newton step 2 (s = -0.001 and -0.00129); those left lie next to
-        # s = 0, where the problem is ill-conditioned, and are still known
-        # to within 1e-6 bits
-        _, _, curve = matrix_curves["mkv2-ham-n2"]
-        dropped = curve.dropped()
-        assert len(dropped) == (len(curve.points)
-                                - len(curve.converged_points()))
-        assert len(dropped) <= 2
-        for s, reason, gap in dropped:
-            assert abs(s) < 0.01
-            assert reason == "stopped at max_iters"
-            assert 0.0 <= gap <= 1e-6
+        # the plain iteration dropped 10 of the 41 mkv2-ham-n2 points next
+        # to s = 0, and a Newton step started by slow plain steps alone
+        # still dropped 2 (s = -0.001 and -0.00129); with slow steps at
+        # beta = 256 counted too, no point of the matrix is dropped
+        for _, _, curve in matrix_curves.values():
+            dropped = curve.dropped()
+            assert len(dropped) == (len(curve.points)
+                                    - len(curve.converged_points()))
+            assert dropped == []
 
 
 @pytest.fixture(scope="module")
