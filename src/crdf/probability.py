@@ -435,13 +435,12 @@ def _joint_and_conditional(source: SourceModel, kernel: Kernel) -> tuple:
 
 
 def _chain_rule_conditionals(nu: np.ndarray, ny: int, n: int) -> list:
-    """Conditionals nu_i(y_i | y^{i-1}) of a pmf nu over Y^{0..n}, on its
-    last axis; leading axes are a batch of pmfs.
+    """Conditionals nu_i(y_i | y^{i-1}) of a pmf nu over Y^{0..n}.
 
     Row y^{i-1} of the i-th table is uniform where the prefix carries at
-    most UNREACHABLE_MASS.  A complex nu, which the solver's complex-step
-    Jacobian passes, is judged by its real part, and the tables keep its
-    dtype.
+    most UNREACHABLE_MASS.  Leading axes of nu are a batch of pmfs.  A
+    complex nu, which the solver's complex-step Jacobian passes, is judged
+    by its real part, and the tables keep its dtype.
     """
     conditionals = []
     child = nu

@@ -40,31 +40,24 @@ gap strictly falls and is halved otherwise (``_newton_step``).
   - Causal: J is taken by complex step (Squire & Trapp 1998) through the
     stage code, column k being Im P_Y(nu with nu_k * e^{ih}) / h for
     h = 1e-30, exact to rounding (``_complex_step_jacobian``).  The stage
-    code takes leading batch axes, so all ny^(n+1) perturbed laws go
-    through one batched complex evaluation, which takes 1.5 times a real
-    evaluation at ny^(n+1) = 9.  An episode starts only after
-    CAUSAL_PATIENCE = 12 stalled steps in a row: plain steps often stall for
-    a few steps and then fall again, and at a patience of 1 the ternary
-    Markov sweep built 7 times the Jacobians.  A causal step stalls when it
-    is plain or at beta = BETA_MAX and its gap falls by less than the
-    factor CAUSAL_SLOW = 0.9.  Next to s = 0, steps at BETA_MAX are all
-    accepted but each lowers the gap by a factor of only about 0.9999: a
-    cold solve of the binary Markov source at n = 2 and s = -0.001 that
-    counted plain steps alone stopped at 20,000 iterations with gap 2.8e-8,
-    and now converges in 27 with 7 Jacobians.  The other stall is a
-    multiplier where an output letter enters or leaves the support: at
-    s = -0.4434 on the ternary Markov source at n = 1, two masses settle at
-    6.6e-4 while two decay at r = 0.984 per step, and the plain loop takes
-    4,139 steps.  A mass below LEAVING_MASS whose log r is below
-    -LEAVING_RATE leaves the support, and every mass off it steps by
-    BETA_MAX * log r, so the decaying masses empty while Newton settles the
-    rest.  J is built only while ny^(n+1) <= JACOBIAN_MAX = 64: the batch
-    of N laws holds N complex copies of every stage table, and at N = 512
-    (binary, n = 8; 2 vCPU) J takes 0.16 s and 48 MB, against 0.08 s for a
-    whole four-point plain sweep there.  That sweep never stalls, so a
-    higher bound would change none of its solves; the bound keeps the
-    batch's memory, which grows as N^2, small.  Above the bound the causal
-    solve takes no Newton step.
+    code takes leading batch axes, so the ny^(n+1) perturbed laws take one
+    batched complex evaluation, 1.5 real ones' time at ny^(n+1) = 9.  An
+    episode starts after CAUSAL_PATIENCE = 12 stalled steps in a row: plain
+    steps whose gap did not fall, and plain or beta = BETA_MAX steps whose
+    gap stayed above CAUSAL_SLOW = 0.9 times the last.  Next to s = 0 the
+    BETA_MAX steps are all accepted but each gains a factor of only about
+    0.9999, and a binary Markov solve at n = 2, s = -0.001 stopped at
+    max_iters without that rule.  At a patience of 1 the ternary Markov
+    sweep built 7 times the Jacobians.  The other stall is a multiplier
+    where an output letter enters or leaves the support: at s = -0.4434 on
+    that source at n = 1, two masses settle at 6.6e-4 while two decay at
+    r = 0.984 per step, and the plain loop takes 4,139 steps.  A mass below
+    LEAVING_MASS whose log r is below -LEAVING_RATE leaves the support, and
+    every mass off it steps by BETA_MAX * log r, so the decaying masses
+    empty while Newton settles the rest.  J is built only while ny^(n+1)
+    <= JACOBIAN_MAX = 64, as the batch holds ny^(n+1) copies of every stage
+    table: at N = 512 (binary, n = 8; 2 vCPU) J takes 0.16 s and 48 MB,
+    against 0.08 s for a whole four-point sweep there, which never stalls.
 
 State layout.  For an iid or Markov source with single-letter costs, q_i
 depends on x^i only through x_i, so the state of stage i is (y^{i-1}, x_i):
@@ -139,11 +132,10 @@ BETA_MAX = 256.0
 NEWTON_FLOOR = 1e-200
 NEWTON_BAND = 1.0
 NEWTON_MIN_SCALE = 1.0 / 16.0
-# causal Newton step: stalled steps before an episode starts, a step being
-# stalled when it is plain or at BETA_MAX and its gap does not fall below
-# CAUSAL_SLOW times the last; a mass below LEAVING_MASS whose log r is below
-# -LEAVING_RATE leaves its support; the complex step of its Jacobian, built
-# only while ny^(n+1) <= JACOBIAN_MAX
+# causal Newton step: stalled steps before an episode starts, and the factor
+# a gap must fall by for a step not to stall; a mass below LEAVING_MASS whose
+# log r is below -LEAVING_RATE leaves its support; the complex step of its
+# Jacobian, built only while ny^(n+1) <= JACOBIAN_MAX
 CAUSAL_PATIENCE = 12
 CAUSAL_SLOW = 0.9
 LEAVING_MASS = 1e-6
@@ -247,18 +239,14 @@ def _reduce_last(op, a):
     numpy's reduction over a short last axis is its slow case: on a
     C-ordered (256, 512, 2) array, the size of an n = 8 tilt's last table,
     a sum took 2.4 ms and a minimum 7.2 ms, against 0.16 and 0.14 ms across
-    the slices (2 vCPU, numpy 2.4).  So on arrays
-    of at least SLICE_MIN entries, rows of 2 to PAIRWISE_MIN - 1 entries are
-    reduced elementwise across the slices a[..., 0], a[..., 1], ... in
-    order.  That is numpy's own order for a real sum of such rows, and a
-    minimum does not depend on the order.
-
-    Complex input, the complex-step Jacobian's, takes the same paths.  But
-    numpy's pairwise sum counts the two parts of a complex entry, so it adds
-    complex rows of 4 or more entries out of order, and there the slice
-    path agrees with it only to rounding.  So the path is chosen by the size
-    of one law's table, the last three axes, not of a batch of laws: a law
-    gets the same bits alone or in a batch.
+    the slices (2 vCPU, numpy 2.4).  So where one law's table (the last
+    three axes) has at least SLICE_MIN entries, rows of 2 to PAIRWISE_MIN - 1
+    entries are reduced elementwise across the slices a[..., 0], a[..., 1],
+    ... in order.  That is numpy's own order for a real sum of such rows,
+    and a minimum does not depend on the order.  Complex input takes the
+    same paths, but numpy sums complex rows of 4 or more entries out of
+    order (its pairwise cut counts both parts), so there the paths differ by
+    rounding: the path is set per law, which gets the same bits in a batch.
     """
     k = a.shape[-1]
     if math.prod(a.shape[-3:]) < SLICE_MIN or not 2 <= k < PAIRWISE_MIN:
@@ -412,18 +400,16 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
     (``_newton_step``, with ``causal`` passed to ``_newton_direction``):
     each is accepted when the gap strictly falls, and the next is formed at
     the new law; a rejected one is retried at half its scale, and below
-    NEWTON_MIN_SCALE the plain path takes over again.  A step is slow when
-    its gap does not fall, or, with ``causal``, does not fall below
-    CAUSAL_SLOW times the last gap.  A slow plain step has stalled, and
-    with ``causal`` so has a slow step at BETA_MAX: such steps can each be
-    accepted and still gain almost nothing.  A step that is not slow, and
-    the start of an episode, set the count of stalled steps back to 0.
+    NEWTON_MIN_SCALE the plain path takes over again.  A plain step whose
+    gap does not fall has stalled; with ``causal``, so has a plain step or
+    a step at BETA_MAX whose gap stays above CAUSAL_SLOW times the last.  A
+    step whose gap falls further, and the start of an episode, set the
+    count of stalled steps back to 0.
 
     The solve has converged when the gap is at most ``tol`` and the kernel
-    moves less than ``tol``.  The gap is read first, so the kernel step is
-    computed only once the gap passes.  Returns (kernel, gap, iterations,
-    converged), the kernel being the converged candidate or else the last
-    accepted one.
+    moves less than ``tol``, the gap read first.  Returns (kernel, gap,
+    iterations, converged), the kernel being the converged candidate or
+    else the last accepted one.
     """
     q, p = evaluate(nu)
     gap = _gap(nu, p, n)
@@ -441,7 +427,6 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
         if gap_new <= opts.tol and _max_step(q_new, q) < opts.tol:
             return q_new, gap_new, iterations, True
         falls = gap_new < gap
-        slow = not gap_new < (CAUSAL_SLOW if causal else 1.0) * gap
         if direction is not None:
             if falls:
                 nu, q, p, gap = cand, q_new, p_new, gap_new
@@ -450,6 +435,7 @@ def _alternate(evaluate, nu, n: int, opts: SolverOptions, jacobian=None,
             else:
                 scale /= 2.0
             continue
+        slow = not gap_new < (CAUSAL_SLOW if causal else 1.0) * gap
         if falls or used == 1.0:
             nu, q, p, gap = cand, q_new, p_new, gap_new
         beta = min(2.0 * used, BETA_MAX) if falls else 1.0
@@ -536,14 +522,14 @@ class _Workspace:
         """Optimal causal kernel for fixed output conditionals.
 
         Runs the backward recursion from stage n to 0 and returns the stage
-        kernels together with V_0 = -log Z_0, shape (1, nx).  Leading batch
-        axes of ``nu_conds`` carry through to both, as they do through
-        ``prefix_laws`` and ``output_law``.  rho_i and G_i are shifted by
-        their minimum over y_i, which cancels in the normalization and is
-        added back into V_i, so neither exponential exceeds 1 and each
-        equals 1 somewhere in every row.  Minima and row sums over y_i are
-        taken by ``_reduce_last``, across the ny slices on large tables,
-        with the results of numpy's last-axis reductions.
+        kernels together with V_0 = -log Z_0, shape (1, nx), with the
+        leading batch axes of ``nu_conds`` if any (``prefix_laws`` and
+        ``output_law`` take them too).  rho_i and G_i are shifted by their
+        minimum over y_i, which cancels in the normalization and is added
+        back into V_i, so neither exponential exceeds 1 and each equals 1
+        somewhere in every row.  Minima and row sums over y_i are taken by
+        ``_reduce_last``, across the ny slices on large tables, with the
+        results of numpy's last-axis reductions.
         """
         nx, ny = self.nx, self.ny
         exp_cost, cost_shift = self.tilt_tables
@@ -554,9 +540,8 @@ class _Workspace:
             w = exp_cost[i] * nu_conds[i][..., None, :]
             if G is not None:
                 shift = _reduce_last(np.minimum, G)
-                # in place, so that a complex product keeps its operand
-                # order: numpy computes w * tmp into a large temporary as
-                # tmp * w, which rounds differently
+                # in place: into a large temporary numpy computes a
+                # complex w * tmp as tmp * w, which rounds differently
                 w *= np.exp(shift[..., None] - G)
             stages[i], log_z = _normalized(w, lambda: (
                 self.s * self.cost[i] - cost_shift[i][:, :, None]
@@ -672,11 +657,10 @@ def _complex_step_jacobian(evaluate, nu) -> np.ndarray:
     on the complex laws unchanged, so J is the derivative of the very map
     the loop iterates, the UNREACHABLE_MASS rule of the causal solver's
     chain-rule conditionals included.  With no difference of two values, it
-    is exact to rounding however small h is.  The N perturbed laws are the
-    rows of one (N, N) array, passed to ``evaluate`` once, and each row
-    gets the bits of its own evaluation.  That batch holds N copies of
-    every stage table, which is why ``solve_fixed_s`` builds J only while
-    there are at most JACOBIAN_MAX masses.
+    is exact to rounding however small h is.  The N perturbed laws go to
+    ``evaluate`` as the rows of one (N, N) array, each row getting the bits
+    of its own evaluation; the batch holds N copies of every stage table,
+    so ``solve_fixed_s`` builds J only while N <= JACOBIAN_MAX.
     """
     z = nu + 1j * COMPLEX_STEP * np.diag(nu)      # row k perturbs nu_k
     return evaluate(z)[1].imag.T / COMPLEX_STEP
