@@ -809,8 +809,8 @@ def _jacobian_case(case):
     if case == "unreachable":
         # test_jacobian_is_finite_where_a_prefix_is_unreachable's law
         ws = _Workspace(*mkv2_ham_n2(), -1.0)
-        nu = random_pmf(np.random.default_rng(1), 8, floor=0.01).weights
-        nu = nu.copy()
+        nu = random_pmf(np.random.default_rng(1), 8,
+                        floor=0.01).weights.copy()
         nu[:2] = 1e-17
         return ws, nu / nu.sum()
     if case == "letters4-n2":
