@@ -4,11 +4,15 @@ On tiny instances the causal Lagrangian
 
     L(q) = I(X^n -> Y^n)/(n+1) - s*log2(e) * distortion(q)
 
-is globally minimized by exhaustive simplex-grid search (n = 0) or by
-multistart derivative-free coordinate descent (n <= 2), entirely independent
-of the fixed-point solver.  Comparisons are made on the Lagrangian value, not
-the kernel, because minimizers need not be unique (the constant sD term of
-the dual cancels between the two sides and is dropped).
+is globally minimized by a derivative-free descent over causal chains
+(n <= 2), entirely independent of the fixed-point solver.  The two methods
+differ only in where the descent starts: ``grid`` (n <= 1) starts at n = 0
+from the lowest kernels whose rows lie on a step-1/20 simplex lattice,
+found by scoring every such kernel, and at n = 1 from the uniform chain;
+``multistart`` starts from seeded random interior chains.  Comparisons are
+made on the Lagrangian value, not the kernel, because minimizers need not be
+unique (the constant sD term of the dual cancels between the two sides and
+is dropped).
 
 The descent moves mass between two letters of one stage-kernel row at a
 time.  Such a shift changes the (x^n, y^n) conditional matrix only on one
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +40,10 @@ import numpy as np
 from . import indexing as ix
 from .distortion import DistortionModel
 from .information import LOG2E
-from .probability import CausalKernelChain, SourceModel, check_tol
+from .probability import CausalKernelChain, SourceModel, check_tol, row_blocks
 from .solver import RateDistortionPoint, check_s
 
-# multistart descent: first mass-shift step, last step, sweeps per step
+# descent: first mass-shift step, last step, sweeps per step
 DESCENT_STEP0 = 0.25
 DESCENT_MIN_STEP = 1e-6
 DESCENT_MAX_SWEEPS = 50
@@ -54,6 +57,8 @@ PATTERN_CHUNK_CELLS = 1 << 16
 # PATTERN_AT[k]: whether an improving sweep k of a level is followed by one
 PATTERN_AT = np.array([k in PATTERN_SWEEPS
                        for k in range(DESCENT_MAX_SWEEPS + 1)])
+# grid starts at n = 0: rows on the simplex lattice of step 1/LATTICE_STEPS
+LATTICE_STEPS = 20
 # floor under a probability whose log is taken; its terms are 0 there
 TINY = 1e-300
 
@@ -82,79 +87,26 @@ def _simplex_grid(dim: int, steps: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _local_simplex_grid(center: np.ndarray, radius: float,
-                        step: float) -> np.ndarray:
-    """Simplex lattice points at ``step`` within sup-distance ``radius``."""
-    dim = center.shape[0]
-    k = int(round(radius / step))
-    offsets = np.arange(-k, k + 1) * step
-    rows = []
-    for deltas in itertools.product(offsets, repeat=dim - 1):
-        last = -sum(deltas)
-        if abs(last) > radius + 1e-12:
-            continue
-        cand = center + np.array(list(deltas) + [last])
-        if np.all(cand >= -1e-12):
-            cand = np.clip(cand, 0.0, None)
-            rows.append(cand / cand.sum())
-    return np.array(rows)
+def _lattice_starts(ev: _BatchEvaluator, budget: int) -> list:
+    """The ``budget`` lowest of all n = 0 kernels whose rows lie on the
+    step-1/LATTICE_STEPS simplex lattice, ties in lattice order.
 
-
-def _grid_search(ev: _BatchEvaluator, steps: int = 20) -> tuple:
-    """Simplex-lattice search over stage-kernel rows (n <= 1).
-
-    At n = 0 the product over rows is exhausted jointly; at n = 1 rows are
-    exhausted cyclically (each row against the full lattice with the others
-    held fixed) until a full pass leaves every row unchanged.  Either way one
-    refinement pass at step 1/200 around the incumbent follows.  Every
-    evaluation is a batch of one.
+    Kernel k has the rows of lattice letters ``ix.to_letters(k, G, nx)``, G
+    being the lattice size.  The G**nx kernels are scored a ``row_blocks``
+    block at a time, each counting one evaluation, and the lowest are kept
+    as a running selection, so no list of them is built.  Returns their
+    stages, shaped (budget, 1, nx, ny).
     """
-    def lagrangian(stages) -> float:
-        return float(ev.lagrangian([st[None] for st in stages])[0])
-
-    grid = _simplex_grid(ev.ny, steps)
-    if ev.n == 0:
-        best_val, best_rows = math.inf, None
-        for choice in itertools.product(range(len(grid)), repeat=ev.nx):
-            rows = grid[list(choice)]
-            val = lagrangian([rows[None, :, :]])
-            if val < best_val:
-                best_val, best_rows = val, rows.copy()
-        best_stages = [best_rows[None, :, :]]
-    else:
-        best_stages = [np.full((ev.ny**i, ev.nx ** (i + 1), ev.ny), 1.0 / ev.ny)
-                       for i in range(ev.n + 1)]
-        best_val = lagrangian(best_stages)
-        for _ in range(100):
-            changed = False
-            for i in range(ev.n + 1):
-                for hy in range(best_stages[i].shape[0]):
-                    for hx in range(best_stages[i].shape[1]):
-                        for cand in grid:
-                            saved = best_stages[i][hy, hx].copy()
-                            best_stages[i][hy, hx] = cand
-                            val = lagrangian(best_stages)
-                            if val < best_val - 1e-15:
-                                best_val, changed = val, True
-                            else:
-                                best_stages[i][hy, hx] = saved
-            if not changed:
-                break
-    # one refinement pass at step 1/200, row by row around the incumbent
-    for i in range(ev.n + 1):
-        for hy in range(best_stages[i].shape[0]):
-            for hx in range(best_stages[i].shape[1]):
-                local = _local_simplex_grid(best_stages[i][hy, hx],
-                                            1.0 / steps, 1.0 / 200)
-                for cand in local:
-                    saved = best_stages[i][hy, hx].copy()
-                    best_stages[i][hy, hx] = cand
-                    val = lagrangian(best_stages)
-                    if val < best_val:
-                        best_val = val
-                    else:
-                        best_stages[i][hy, hx] = saved
-    return best_val, best_stages
+    grid = _simplex_grid(ev.ny, LATTICE_STEPS)
+    vals, idx = np.empty(0), np.empty(0, dtype=np.int64)
+    for blk in row_blocks(len(grid) ** ev.nx, ev.C.size):
+        k = np.arange(blk.start, blk.stop)
+        rows = grid[ix.to_letters(k, len(grid), ev.nx)]
+        vals = np.concatenate((vals, ev.lagrangian([rows[:, None]])))
+        idx = np.concatenate((idx, k))
+        keep = np.argsort(vals, kind="stable")[:budget]
+        vals, idx = vals[keep], idx[keep]
+    return [grid[ix.to_letters(idx, len(grid), ev.nx)][:, None]]
 
 
 class _BatchEvaluator:
@@ -436,9 +388,12 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
                            budget: int = 500, seed: int = 0) -> OracleResult:
     """Globally minimize the causal Lagrangian on a tiny instance.
 
-    ``grid`` exhausts each stage-kernel row on a step-1/20 simplex lattice
-    with one 1/200 refinement pass (n <= 1, alphabets <= 3); ``multistart``
-    runs ``budget`` seeded interior starts of coordinate descent (n <= 2).
+    Both methods run ``_batched_descent`` and return its best start; they
+    differ only in the starts.  ``grid`` (n <= 1, alphabets <= 3) starts
+    at n = 0 from the ``budget`` lowest kernels whose rows lie on the
+    step-1/20 simplex lattice (``_lattice_starts``), and at n = 1 from the
+    uniform chain; ``multistart`` (n <= 2) from ``budget`` seeded interior
+    chains.
     """
     check_s(s)
     dist.check_source(source)
@@ -446,27 +401,29 @@ def brute_force_lagrangian(source: SourceModel, dist: DistortionModel,
     if method == "grid":
         if n > 1 or nx > 3 or ny > 3:
             raise InstanceTooLarge("grid oracle supports n <= 1, alphabets <= 3")
-        ev = _BatchEvaluator(source, dist, s)
-        best_val, best_stages = _grid_search(ev)
     elif method == "multistart":
         if n > 2:
             raise InstanceTooLarge("multistart oracle supports n <= 2")
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        ev = _BatchEvaluator(source, dist, s)
+    else:
+        raise ValueError("method must be 'grid' or 'multistart'")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    ev = _BatchEvaluator(source, dist, s)
+    if method == "multistart":
         rng = np.random.default_rng(seed)
         stages_b = [0.8 * rng.dirichlet(np.ones(ny),
                                         size=(budget, ny**i, nx ** (i + 1)))
                     + 0.2 / ny  # keep starts interior
                     for i in range(n + 1)]
-        vals, stages_b = _batched_descent(ev, stages_b)
-        k = int(np.argmin(vals))
-        best_val = float(vals[k])
-        best_stages = [sb[k] for sb in stages_b]
+    elif n == 0:
+        stages_b = _lattice_starts(ev, budget)
     else:
-        raise ValueError("method must be 'grid' or 'multistart'")
-    chain = CausalKernelChain.from_stages(best_stages, nx, ny)
-    return OracleResult(best_value=best_val, best_chain=chain,
+        stages_b = [np.full((1, ny**i, nx ** (i + 1), ny), 1.0 / ny)
+                    for i in range(n + 1)]
+    vals, stages_b = _batched_descent(ev, stages_b)
+    k = int(np.argmin(vals))
+    chain = CausalKernelChain.from_stages([sb[k] for sb in stages_b], nx, ny)
+    return OracleResult(best_value=float(vals[k]), best_chain=chain,
                         evaluations=ev.evaluations, method=method, s=s)
 
 

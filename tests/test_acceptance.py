@@ -8,7 +8,7 @@ checks guard easily broken facts:
   and warm starts with full support; a warm start that keeps vanishing
   masses stays locked on a point-mass output law for s in [-0.95, -0.57].
 * 6b — on a binary Markov source no causal chain found by a 500-start
-  brute-force search undercuts the solver by more than 1e-3.  A stage-wise
+  brute-force search undercuts the solver by more than 1e-6.  A stage-wise
   tilt without the cost-to-go term misses the optimum by up to ~1.4e-2.
 * 8b — the exact typicality probabilities of the distortion-matched binary
   channel meet the weak-law bound behind the AEP at every horizon tested.
@@ -218,11 +218,12 @@ class TestCriterion6:
         for s in S_VALUES_6:
             p = solve_fixed_s(src, dist, s)
             r = brute_force_lagrangian(src, dist, s, method="grid")
-            rep = compare(p, r)
+            rep = compare(p, r, tol=1e-6)
             worst = max(worst, rep.value_difference)
             assert rep.passed
-        assert report("6a", f"exhaustive grid vs solver at {len(S_VALUES_6)} "
-                            f"multipliers, max gap {worst:.1e}", True)
+        assert report("6a", f"grid search vs solver at {len(S_VALUES_6)} "
+                            f"multipliers, max gap {worst:.1e} (tol 1e-6)",
+                      True)
 
     def test_multistart_matches_binary_markov(self):
         # without the backward cost-to-go term the search undercuts the
@@ -236,11 +237,28 @@ class TestCriterion6:
             p = solve_fixed_s(src, dist, s)
             r = brute_force_lagrangian(src, dist, s, method="multistart",
                                        budget=500, seed=0)
-            rep = compare(p, r)
+            rep = compare(p, r, tol=1e-6)
             worst = max(worst, rep.value_difference)
             ok &= rep.passed
         assert report("6b", "multistart search vs solver on binary Markov, "
-                            f"max gap {worst:.1e} (tol 1e-3)", ok)
+                            f"max gap {worst:.1e} (tol 1e-6)", ok)
+
+    def test_grid_matches_binary_markov(self):
+        # a lattice search that moves one kernel row at a time stops up to
+        # 3.1e-3 above the solver on this source
+        T = np.array([[0.8, 0.2], [0.2, 0.8]])
+        src = SourceModel.markov(FinitePmf.uniform(2), T, 1)
+        dist = DistortionModel.hamming(2, 1)
+        worst = 0.0
+        ok = True
+        for s in S_VALUES_6:
+            p = solve_fixed_s(src, dist, s)
+            r = brute_force_lagrangian(src, dist, s, method="grid")
+            rep = compare(p, r, tol=1e-5)
+            worst = max(worst, rep.value_difference)
+            ok &= rep.passed
+        assert report("6c", "grid search vs solver on binary Markov, "
+                            f"max gap {worst:.1e} (tol 1e-5)", ok)
 
 
 class TestCriterion7:

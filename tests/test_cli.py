@@ -180,6 +180,21 @@ class TestOracle:
         assert rep["method"] == "grid"
         assert rep["evaluations"] > 0
 
+    def test_default_method_agrees_on_binary_markov(self, tmp_path):
+        # the benchmark's oracle instance at s = -0.5, where a lattice
+        # search that moves one kernel row at a time stops 3.1e-3 above the
+        # solver
+        cfg = write_config(tmp_path, {
+            "source": {"kind": "markov", "horizon": 1,
+                       "initial": [0.5, 0.5],
+                       "transition": [[0.8, 0.2], [0.2, 0.8]]},
+            "solver": {"s": -0.5},
+        })
+        assert run("oracle", cfg, tmp_path) == 0
+        rep = json.loads((tmp_path / "oracle.json").read_text())
+        assert rep["passed"]
+        assert rep["method"] == "grid"
+
     def test_multistart_detects_gap_with_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, {
             "source": {"kind": "markov", "horizon": 1,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,18 @@ from crdf import (
 )
 from crdf import indexing as ix
 from crdf.oracle import (
+    LATTICE_STEPS,
     InstanceTooLarge,
     _BatchEvaluator,
     _batched_descent,
     _block_score,
+    _lattice_starts,
     _pairs,
     _shift_units,
+    _simplex_grid,
     _stage_tables,
 )
+from crdf.probability import row_blocks
 
 UNIFORM2 = FinitePmf.uniform(2)
 
@@ -48,6 +54,28 @@ class TestGridOracle:
         p = solve_fixed_s(src, dist, -2.0)
         r = brute_force_lagrangian(src, dist, -2.0, method="grid")
         assert abs(p.lagrangian() - r.best_value) <= 1e-3
+
+    def test_lattice_starts_are_the_lowest_lattice_kernels(self):
+        # 231**2 = 53,361 kernels take 5 blocks; the starts are the lowest
+        # under a stable sort, valued as when each is scored alone.  Swapping
+        # both letters of this instance keeps L, so the 7 hold exact ties.
+        src = SourceModel.iid(UNIFORM2, 0)
+        dist = DistortionModel.hamming(2, 0, ny=3)
+        ev = _BatchEvaluator(src, dist, -1.3)
+        grid = _simplex_grid(3, LATTICE_STEPS)
+        products = list(itertools.product(range(len(grid)), repeat=2))
+        assert len(products) == 53361
+        assert len(list(row_blocks(len(products), ev.C.size))) == 5
+        (starts,) = _lattice_starts(ev, 7)
+        assert ev.evaluations == len(products)
+        alone = np.array([ev.lagrangian([grid[list(c)][None, None]])[0]
+                          for c in products])
+        lowest = np.argsort(alone, kind="stable")[:7]
+        assert np.array_equal(
+            starts, np.array([grid[list(products[k])] for k in lowest])[:, None])
+        vals = ev.lagrangian([starts])
+        assert np.array_equal(vals, alone[lowest])
+        assert len(set(vals)) < 7
 
     def test_too_large_rejected(self):
         src = SourceModel.iid(FinitePmf.uniform(4), 0)
@@ -189,10 +217,12 @@ class TestMultistartOracle:
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
+        # the grid method counts its descent starts by the budget too
         src = SourceModel.iid(UNIFORM2, 1)
-        with pytest.raises(ValueError, match="budget"):
-            brute_force_lagrangian(src, DistortionModel.hamming(2, 1), -1.0,
-                                   method="multistart", budget=budget)
+        for method in ("grid", "multistart"):
+            with pytest.raises(ValueError, match="budget"):
+                brute_force_lagrangian(src, DistortionModel.hamming(2, 1),
+                                       -1.0, method=method, budget=budget)
 
     def test_positive_s_rejected(self):
         src = SourceModel.iid(UNIFORM2, 0)
